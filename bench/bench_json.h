@@ -37,13 +37,15 @@ struct JsonResult {
     double jobs_skipped = 0.0;
     double shards_skipped = 0.0;
     // Optional CPU-kernel metadata, written only when has_kernel is set:
-    // which kernel strategy and table layout produced the row, and the
-    // row's single-thread QPS relative to the scalar reference on the same
-    // layout (the regression checker prints it, never flags it — the
-    // speedup tracks host AES-NI support, not code performance).
+    // which kernel strategy, table layout and PRG (PrfKindName) produced
+    // the row, and the row's single-thread QPS relative to the scalar
+    // reference on the same layout and PRG (the regression checker prints
+    // it, never flags it — the speedup tracks host SIMD support, not code
+    // performance).
     bool has_kernel = false;
     std::string kernel;
     std::string layout;
+    std::string prf;
     double speedup_vs_scalar = 0.0;
     // Optional replicated-serving metrics (bench_replicated_serving),
     // written only when has_net is set: the replica count behind the
@@ -144,9 +146,10 @@ inline bool WriteBenchJson(const char* path, const std::string& bench,
         if (results[i].has_kernel) {
             std::fprintf(f,
                          ",\"kernel\":\"%s\",\"layout\":\"%s\""
-                         ",\"speedup_vs_scalar\":%.6g",
+                         ",\"prf\":\"%s\",\"speedup_vs_scalar\":%.6g",
                          results[i].kernel.c_str(),
                          results[i].layout.c_str(),
+                         results[i].prf.c_str(),
                          results[i].speedup_vs_scalar);
         }
         if (results[i].has_net) {

@@ -10,9 +10,10 @@
 // tiled-layout copy with pinned shard placement — at several thread
 // counts, and reports queries/sec plus speedup over the sequential
 // baseline. A second section pits the CPU kernel strategies (scalar,
-// simd_prg, multiquery_tile) against each other on one thread with the
-// AES-128 MMO PRG, per layout, reporting each kernel's speedup over the
-// scalar reference. A third section isolates the u128 mat-vec accumulator
+// simd_prg, multiquery_tile) against each other on one thread, per layout
+// and per PRG (the AES-128 MMO and the default ChaCha20), reporting each
+// kernel's speedup over the scalar reference. A third section isolates
+// the u128 mat-vec accumulator
 // (src/kernels/accumulate.h): each supported ISA walks the tiled table
 // with precomputed shares, reporting ns/row and speedup over the scalar
 // accumulator as accum_* JSON rows. Both tables hold identical logical
@@ -33,6 +34,7 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
+#include "src/crypto/prf.h"
 #include "src/kernels/accumulate.h"
 #include "src/kernels/cpu_kernel.h"
 #include "src/pir/protocol.h"
@@ -168,65 +170,74 @@ int main(int argc, char** argv) {
     std::printf("\ntiled responses bit-identical to row-major: %s\n",
                 responses_identical ? "YES" : "NO");
 
-    // --- CPU kernel comparison: one thread, AES-128 MMO PRG ----------------
+    // --- CPU kernel comparison: one thread, per PRG -----------------------
     // Isolates the kernel strategies (src/kernels/cpu_kernel.h) from pool
     // scaling: every row runs the same batch on a single worker, against
     // the same logical rows, so the per-kernel speedups measure the
-    // AES-NI-batched PRG and the multi-query tile walk alone. Queries use
-    // the AES-128 MMO PRG — the PRF whose expansion the SIMD path
-    // accelerates; responses are gated bit-identical to the scalar
-    // reference on the same layout.
-    std::printf("\n== cpu kernels (1 thread, aes128 prg, batch=%zu) ==\n",
-                batch);
+    // batched PRG expansion and the multi-query tile walk alone. Both PRGs
+    // the batched expansion accelerates run: the AES-128 MMO (AES-NI) and
+    // ChaCha20 (8/16 seeds per vector). Each kernel's responses are gated
+    // bit-identical to the scalar reference on the same PRG and layout.
+    // AES rows keep their historical names; ChaCha20 rows add a suffix.
+    std::printf("\n== cpu kernels (1 thread, batch=%zu) ==\n", batch);
     std::printf("cpu features: %s\n", CpuFeatureSummary().c_str());
-    PirClient aes_client(log_entries, PrfKind::kAes128, /*seed=*/3);
-    std::vector<std::vector<std::uint8_t>> aes_keys;
-    aes_keys.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-        aes_keys.push_back(aes_client.Query((i * 7919) % n).key_for_server0);
-    }
     ThreadPool single(1);
     const PirTable* layout_tables[2] = {&table, &tiled_table};
     const char* layout_names[2] = {"row_major", "tiled"};
-    std::vector<std::vector<PirResponse>> scalar_ref(2);
-    double scalar_qps[2] = {0.0, 0.0};
-    std::printf("%-30s %12s %12s %9s\n", "kernel", "batch ms", "queries/s",
-                "vs scalar");
-    for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
-        for (int l = 0; l < 2; ++l) {
-            PirServer server(layout_tables[l],
-                             ShardingOptions{1, &single,
-                                             ShardPlacement::kDynamic,
-                                             kernel});
-            const double sec = MeasureSeconds(iters, [&] {
-                server.BatchAnswer(aes_keys);
-            });
-            const double qps = batch / sec;
-            const auto responses = server.BatchAnswer(aes_keys);
-            if (kernel == CpuKernelKind::kScalar) {
-                scalar_ref[l] = responses;
-                scalar_qps[l] = qps;
-            } else if (responses != scalar_ref[l]) {
-                responses_identical = false;
-                std::fprintf(stderr, "MISMATCH: kernel %s on %s\n",
-                             CpuKernelKindName(kernel), layout_names[l]);
+    for (const PrfKind prf : {PrfKind::kAes128, PrfKind::kChacha20}) {
+        const std::string prf_name = PrfKindName(prf);
+        const std::string row_suffix =
+            prf == PrfKind::kAes128 ? "" : "_chacha20";
+        PirClient prf_client(log_entries, prf, /*seed=*/3);
+        std::vector<std::vector<std::uint8_t>> prf_keys;
+        prf_keys.reserve(batch);
+        for (std::size_t i = 0; i < batch; ++i) {
+            prf_keys.push_back(
+                prf_client.Query((i * 7919) % n).key_for_server0);
+        }
+        std::vector<std::vector<PirResponse>> scalar_ref(2);
+        double scalar_qps[2] = {0.0, 0.0};
+        std::printf("%-30s %12s %12s %9s   [%s]\n", "kernel", "batch ms",
+                    "queries/s", "vs scalar", prf_name.c_str());
+        for (const CpuKernelKind kernel : AllCpuKernelKinds()) {
+            for (int l = 0; l < 2; ++l) {
+                PirServer server(layout_tables[l],
+                                 ShardingOptions{1, &single,
+                                                 ShardPlacement::kDynamic,
+                                                 kernel});
+                const double sec = MeasureSeconds(iters, [&] {
+                    server.BatchAnswer(prf_keys);
+                });
+                const double qps = batch / sec;
+                const auto responses = server.BatchAnswer(prf_keys);
+                if (kernel == CpuKernelKind::kScalar) {
+                    scalar_ref[l] = responses;
+                    scalar_qps[l] = qps;
+                } else if (responses != scalar_ref[l]) {
+                    responses_identical = false;
+                    std::fprintf(stderr, "MISMATCH: kernel %s on %s (%s)\n",
+                                 CpuKernelKindName(kernel), layout_names[l],
+                                 prf_name.c_str());
+                }
+                const double speedup =
+                    scalar_qps[l] > 0 ? qps / scalar_qps[l] : 0.0;
+                char label[64];
+                std::snprintf(label, sizeof(label), "%-16s %s",
+                              CpuKernelKindName(kernel), layout_names[l]);
+                std::printf("%-30s %12.2f %12.1f %8.2fx\n", label, sec * 1e3,
+                            qps, speedup);
+                bench::JsonResult row;
+                row.name = std::string("kernel_") +
+                           CpuKernelKindName(kernel) + "_" + layout_names[l] +
+                           row_suffix;
+                row.qps = qps;
+                row.has_kernel = true;
+                row.kernel = CpuKernelKindName(kernel);
+                row.layout = layout_names[l];
+                row.prf = prf_name;
+                row.speedup_vs_scalar = speedup;
+                json.push_back(std::move(row));
             }
-            const double speedup = scalar_qps[l] > 0 ? qps / scalar_qps[l]
-                                                     : 0.0;
-            char label[64];
-            std::snprintf(label, sizeof(label), "%-16s %s",
-                          CpuKernelKindName(kernel), layout_names[l]);
-            std::printf("%-30s %12.2f %12.1f %8.2fx\n", label, sec * 1e3,
-                        qps, speedup);
-            bench::JsonResult row;
-            row.name = std::string("kernel_") + CpuKernelKindName(kernel) +
-                       "_" + layout_names[l];
-            row.qps = qps;
-            row.has_kernel = true;
-            row.kernel = CpuKernelKindName(kernel);
-            row.layout = layout_names[l];
-            row.speedup_vs_scalar = speedup;
-            json.push_back(std::move(row));
         }
     }
     std::printf("kernel responses bit-identical to scalar reference: %s\n",

@@ -9,7 +9,7 @@ Each directory holds one JSON file per bench, written by the benches'
 optionally "p50_ms"/"p95_ms"/"p99_ms", the streaming metrics
 "first_partial_p50_ms"/"first_partial_p99_ms"/"deadline_miss_rate", and
 the cancel-heavy reclamation metrics "cancel_rate"/"jobs_skipped"/
-"shards_skipped", the CPU-kernel metadata "kernel"/"layout"/
+"shards_skipped", the CPU-kernel metadata "kernel"/"layout"/"prf"/
 "speedup_vs_scalar", and the accumulator-ISA metadata "isa"/
 "speedup_vs_scalar"}]}.
 Results are matched by (bench, name); a current QPS more than `threshold`
@@ -18,9 +18,10 @@ time-to-first-partial (p50) more than `threshold` above it — is a
 regression. The reclamation metrics are informational (printed, never
 flagged: skip counts scale with the cancel mix, not with performance);
 the cancel-mode rows' QPS is still regression-checked like any other row.
-The per-kernel speedup_vs_scalar is likewise informational — it tracks
-the host's AES-NI support, not code performance — while the kernel rows'
-absolute QPS is regression-checked normally.
+The per-kernel speedup_vs_scalar and prf tag are likewise
+informational — the speedup tracks the host's SIMD support, not code
+performance — while the kernel rows' absolute QPS is regression-checked
+normally.
 Unknown fields — older or newer artifacts — are ignored, so baselines
 written before a field existed keep comparing cleanly. Missing baselines
 (first run, renamed rows) are skipped with a note. Exits 1 if any
@@ -57,6 +58,7 @@ def load_results(directory):
                                   if field in entry else None)
                 # String-valued metadata (not a float; printed verbatim).
                 row["isa"] = entry.get("isa")
+                row["prf"] = entry.get("prf")
                 results[(bench, entry["name"])] = row
     return results
 
@@ -122,6 +124,8 @@ def main():
         # row name alone is ambiguous across artifacts.
         if cur.get("isa") is not None:
             line += f", isa={cur['isa']}"
+        if cur.get("prf") is not None:
+            line += f", prf={cur['prf']}"
         if cur.get("speedup_vs_scalar") is not None:
             line += f", {cur['speedup_vs_scalar']:.2f}x vs scalar"
         if flagged:

@@ -264,14 +264,21 @@ ServingFrontEnd::RequestHandle ServingFrontEnd::SubmitRaw(
     // re-check shape here so a malformed (but individually-parseable)
     // upload is rejected before it can poison a pooled batch. Both logical
     // servers must cover the same bins of each submitted table, and a
-    // ranged (sharded) request's eval windows must sit inside every bin
-    // (begin <= end <= bin rows) — an out-of-range window would throw in
-    // the engine's batch validation, failing co-batched requests.
+    // ranged (sharded) request's eval windows must sit inside every bin's
+    // DPF domain (begin <= end <= 2^log_domain). Routers size windows from
+    // the bin size, so a window may reach past a ragged last bin's rows;
+    // the engine clips it to the rows, and a window wholly past them
+    // yields an all-zero partial.
     auto range_ok = [](const PbrSession::BinJobs& jobs, std::uint64_t begin,
                        std::uint64_t end) {
         if (begin > end) return false;
         for (const AnswerEngine::Job& job : jobs.jobs) {
-            if (end > job.num_rows) return false;
+            if (job.key == nullptr) return false;
+            const int log_domain = job.key->params.log_domain;
+            if (log_domain < 1 || log_domain > 40 ||
+                end > (std::uint64_t{1} << log_domain)) {
+                return false;
+            }
         }
         return true;
     };

@@ -93,9 +93,11 @@ struct RawLookup {
     // [*_row_begin, *_row_end) — the node evaluates the same keys over
     // only its assigned slice of every bin, and the resulting shares are
     // PARTIAL: they only sum to the full answer share across all shards
-    // (src/pir/shard_merge.h). Windows must satisfy begin <= end <= the
-    // table's bin size; SubmitRaw rejects violations as kInvalidRequest
-    // so a bad remote request cannot poison a pooled batch.
+    // (src/pir/shard_merge.h). Windows must satisfy begin <= end <= every
+    // bin's DPF domain size; SubmitRaw rejects violations as
+    // kInvalidRequest so a bad remote request cannot poison a pooled
+    // batch. Windows are sized from the table's bin size, so on a ragged
+    // last bin the engine clips them to the bin's rows.
     bool has_range = false;
     std::uint64_t full_row_begin = 0;
     std::uint64_t full_row_end = 0;

@@ -28,9 +28,13 @@ class Prg {
 
     // Batched node expansion of a whole tree-level frontier:
     // (lefts[i], rights[i]) = Expand(seeds[i]). Bit-identical to n scalar
-    // Expand calls; the AES kind pipelines the fixed-key MMO through
-    // hardware AES-NI (8 blocks in flight) when the host supports it and
-    // GPUDPF_FORCE_SCALAR is off, other kinds loop the scalar path.
+    // Expand calls. The AES kind pipelines the fixed-key MMO through
+    // hardware AES-NI (8 blocks in flight); the ChaCha20 kind runs 16
+    // (AVX-512) or 8 (AVX2) seeds in lockstep, one per vector lane, with a
+    // zero-padded lane block for frontiers and tails narrower than a
+    // vector (src/crypto/chacha20_simd.cc). The ISA comes from
+    // GetCpuFeatures(), so GPUDPF_FORCE_SCALAR selects the scalar loop;
+    // the other kinds always loop the scalar path.
     void ExpandBatch(const u128* seeds, std::size_t n, u128* lefts,
                      u128* rights) const;
 

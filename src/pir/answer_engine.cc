@@ -22,6 +22,19 @@ std::uint64_t ShardBoundary(const AnswerEngine::Job& job,
                             s);
 }
 
+// A job's effective job-relative eval window: both ends saturate at
+// num_rows, so the all-ones eval_end default means "unclipped" and a
+// window starting past a ragged last bin's rows is empty.
+struct EvalWindow {
+    std::uint64_t begin;
+    std::uint64_t end;
+};
+
+EvalWindow WindowOf(const AnswerEngine::Job& job) {
+    return {std::min(job.eval_begin, job.num_rows),
+            std::min(job.eval_end, job.num_rows)};
+}
+
 void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
     if (job.key == nullptr) {
         throw std::invalid_argument("AnswerEngine: null key in job");
@@ -46,10 +59,9 @@ void ValidateJob(const PirTable& table, const AnswerEngine::Job& job) {
         throw std::invalid_argument(
             "AnswerEngine: key domain smaller than job rows");
     }
-    // The eval window is job-relative; eval_end saturates at num_rows (the
-    // all-ones default means "unclipped"), so only an inverted window is a
-    // caller bug.
-    if (job.eval_begin > std::min(job.eval_end, job.num_rows)) {
+    // Only an inverted window is a caller bug.
+    const EvalWindow window = WindowOf(job);
+    if (window.begin > window.end) {
         throw std::invalid_argument(
             "AnswerEngine: job eval window inverted");
     }
@@ -161,20 +173,21 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
     std::vector<Group> groups;
     groups.reserve(jobs.size());
     if (kernel_->multi_query()) {
-        // The eval window joins the signature via its saturated end, so an
-        // unclipped job (eval_end = all-ones) and one explicitly clipped to
-        // num_rows land in the same group.
+        // The eval window joins the signature saturated, so an unclipped
+        // job (eval_end = all-ones) and one explicitly clipped to num_rows
+        // land in the same group.
         using GroupKey =
             std::tuple<const PirTable*, std::uint64_t, std::uint64_t,
                        std::uint64_t, std::uint64_t, int, int, int>;
         std::map<GroupKey, std::size_t> index;
         for (std::size_t q = 0; q < jobs.size(); ++q) {
             const TableJob& tj = jobs[q];
+            const EvalWindow window = WindowOf(tj.job);
             const GroupKey key{tj.table,
                                tj.job.row_begin,
                                tj.job.num_rows,
-                               tj.job.eval_begin,
-                               std::min(tj.job.eval_end, tj.job.num_rows),
+                               window.begin,
+                               window.end,
                                static_cast<int>(job_class(q)),
                                tj.job.key->params.log_domain,
                                static_cast<int>(tj.job.key->params.prf)};
@@ -227,13 +240,11 @@ AnswerEngine::BatchStats AnswerEngine::AnswerBatchNotify(
         // tile-snapped partition — and the NUMA first-touch pass that
         // mirrors it — is independent of any clip), then intersected with
         // the job's eval window. Clipped-away shards still count down.
-        const std::uint64_t win_lo = tj0.job.eval_begin;
-        const std::uint64_t win_hi =
-            std::min(tj0.job.eval_end, tj0.job.num_rows);
+        const EvalWindow window = WindowOf(tj0.job);
         const std::uint64_t lo = std::max(
-            ShardBoundary(tj0.job, tile_rows, shards, s), win_lo);
+            ShardBoundary(tj0.job, tile_rows, shards, s), window.begin);
         const std::uint64_t hi = std::min(
-            ShardBoundary(tj0.job, tile_rows, shards, s + 1), win_hi);
+            ShardBoundary(tj0.job, tile_rows, shards, s + 1), window.end);
         ws.tasks.clear();
         ws.task_jobs.clear();
         for (const std::size_t q : grp.members) {

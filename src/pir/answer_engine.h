@@ -107,7 +107,9 @@ class AnswerEngine {
     // row_begin + j. The key's domain must cover num_rows.
     //
     // eval_begin/eval_end clip the job to the job-relative window
-    // [eval_begin, min(eval_end, num_rows)): the DPF leaf anchor stays at
+    // [min(eval_begin, num_rows), min(eval_end, num_rows)), so a window
+    // sized from a full bin may reach past a ragged last bin's rows, or
+    // start past them and be empty. The DPF leaf anchor stays at
     // row_begin (leaf j still selects row row_begin + j), but only leaves
     // inside the window are evaluated and accumulated. A sharded fleet
     // node uses this to answer its assigned row slice of a client's

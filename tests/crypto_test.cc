@@ -8,10 +8,12 @@
 #include <string>
 #include <vector>
 
+#include "src/common/cpuid.h"
 #include "src/common/rng.h"
 #include "src/common/u128.h"
 #include "src/crypto/aes128.h"
 #include "src/crypto/chacha20.h"
+#include "src/crypto/chacha20_simd.h"
 #include "src/crypto/highwayhash.h"
 #include "src/crypto/prf.h"
 #include "src/crypto/prg.h"
@@ -135,6 +137,98 @@ TEST(Chacha20Test, CounterChangesOutput) {
     Chacha20Block(key, 0, nonce, a);
     Chacha20Block(key, 1, nonce, b);
     EXPECT_NE(0, std::memcmp(a, b, sizeof(a)));
+}
+
+TEST(Chacha20Test, PrgKnownAnswers) {
+    // Pins the seed -> key widening, the nonces and the output word order
+    // of the ChaCha20 PRG, so served shares cannot change silently: the
+    // DPF keys a client generated must expand identically on any server
+    // build.
+    const Prg prg(PrfKind::kChacha20);
+    const u128 seed = MakeU128(0x0123456789abcdefull, 0xfedcba9876543210ull);
+    u128 left;
+    u128 right;
+    prg.Expand(seed, &left, &right);
+    EXPECT_EQ(left, FromHex("7014bf74c18d4a571a4e77dd0dba43c6"));
+    EXPECT_EQ(right, FromHex("bb9e2c5694ca45d44743c7c8b8a00e5b"));
+    u128 wide[5];
+    prg.ExpandWide(seed, wide, 5);
+    EXPECT_EQ(wide[0], FromHex("612ade61c7467fa3af1593bc0cd3c12f"));
+    EXPECT_EQ(wide[3], FromHex("863dccaa8fe37f7c37e689eba4661299"));
+    EXPECT_EQ(wide[4], FromHex("e81d11b18149e70acd2556b21adc588d"));
+}
+
+// Each compiled ChaCha20 node-expansion path (the scalar loop, AVX2 x8 and
+// AVX-512 x16), called directly rather than through Prg's dispatch, must
+// equal per-seed Prg::Expand bit for bit: empty, sub-vector, exact-vector,
+// one-past and multi-block batches, through both aligned and unaligned
+// input and output pointers.
+class ChachaIsaTest : public ::testing::TestWithParam<ChachaIsa> {};
+
+TEST_P(ChachaIsaTest, ExpandBatchMatchesPerSeedExpand) {
+    if (!ChachaIsaSupported(GetParam())) {
+        GTEST_SKIP() << "path not compiled in, not supported by this host, "
+                        "or masked by GPUDPF_FORCE_SCALAR";
+    }
+    const Prg prg(PrfKind::kChacha20);
+    Rng rng(23);
+    for (std::size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 33, 4099}) {
+        std::vector<u128> seeds(n);
+        for (auto& s : seeds) s = rng.Next128();
+        for (std::size_t offset : {0, 1, 4}) {
+            // Byte buffers with one u128 of slack, so the seeds, lefts and
+            // rights can start `offset` bytes past a 16-byte boundary.
+            std::vector<u128> in_buf(n + 1);
+            std::vector<u128> left_buf(n + 1);
+            std::vector<u128> right_buf(n + 1);
+            auto shifted = [offset](std::vector<u128>& buf) {
+                return reinterpret_cast<u128*>(
+                    reinterpret_cast<unsigned char*>(buf.data()) + offset);
+            };
+            u128* in = shifted(in_buf);
+            u128* lefts = shifted(left_buf);
+            u128* rights = shifted(right_buf);
+            if (n > 0) std::memcpy(in, seeds.data(), n * sizeof(u128));
+            ChachaExpandBatch(GetParam(), in, n, lefts, rights);
+            for (std::size_t i = 0; i < n; ++i) {
+                u128 want_l;
+                u128 want_r;
+                prg.Expand(seeds[i], &want_l, &want_r);
+                u128 got_l;
+                u128 got_r;
+                std::memcpy(&got_l, lefts + i, sizeof(u128));
+                std::memcpy(&got_r, rights + i, sizeof(u128));
+                ASSERT_EQ(got_l, want_l)
+                    << "n " << n << " offset " << offset << " seed " << i;
+                ASSERT_EQ(got_r, want_r)
+                    << "n " << n << " offset " << offset << " seed " << i;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllIsas, ChachaIsaTest,
+                         ::testing::Values(ChachaIsa::kScalar,
+                                           ChachaIsa::kAvx2,
+                                           ChachaIsa::kAvx512),
+                         [](const auto& info) -> std::string {
+                             switch (info.param) {
+                                 case ChachaIsa::kScalar:
+                                     return "Scalar";
+                                 case ChachaIsa::kAvx2:
+                                     return "Avx2";
+                                 case ChachaIsa::kAvx512:
+                                     return "Avx512";
+                             }
+                             return "Unknown";
+                         });
+
+TEST(ChachaDispatchTest, ScalarAlwaysSupportedAndBestIsSupported) {
+    EXPECT_TRUE(ChachaIsaSupported(ChachaIsa::kScalar));
+    EXPECT_TRUE(ChachaIsaSupported(BestChachaIsa()));
+    if (GetCpuFeatures().forced_scalar) {
+        EXPECT_EQ(BestChachaIsa(), ChachaIsa::kScalar);
+    }
 }
 
 // --- SipHash ---------------------------------------------------------------

@@ -5,6 +5,7 @@
 // wide outputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
@@ -290,7 +291,7 @@ TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
     for (PrfKind prf :
          {PrfKind::kAes128, PrfKind::kChacha20, PrfKind::kSipHash}) {
         for (int log_domain : {1, 2, 5, 10, 13}) {
-            for (std::uint32_t out_words : {1u, 3u}) {
+            for (int out_words : {1, 3}) {
                 Rng rng(1000 + log_domain);
                 const Dpf dpf(DpfParams{log_domain, prf, out_words});
                 const std::uint64_t domain = std::uint64_t{1} << log_domain;
@@ -315,6 +316,44 @@ TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
                             << end << ") party " << key->party;
                     }
                 }
+            }
+        }
+    }
+}
+
+TEST(DpfEvalRangeBatchedTest, ChachaLaneBlocksMatchDfsEvalRange) {
+    // ChaCha20's ExpandBatch runs 8 (AVX2) or 16 (AVX-512) seeds per lane
+    // block and pads frontiers narrower than a block. Every level of these
+    // ranges is such a frontier or straddles a block boundary: widths below,
+    // at and just past 8, 16 and their multiples, at both domain edges and
+    // at odd offsets, plus the full domain at every depth from 1 to 12.
+    for (int log_domain = 1; log_domain <= 12; ++log_domain) {
+        Rng rng(2000 + log_domain);
+        const Dpf dpf(DpfParams{log_domain, PrfKind::kChacha20, 1});
+        const std::uint64_t domain = std::uint64_t{1} << log_domain;
+        auto [k0, k1] = dpf.GenIndicator(rng.Next64() % domain, rng);
+        Dpf::RangeScratch scratch;
+        auto check = [&](std::uint64_t begin, std::uint64_t end) {
+            for (const DpfKey* key : {&k0, &k1}) {
+                std::vector<u128> ref;
+                dpf.EvalRange(*key, begin, end, &ref);
+                std::vector<u128> got(ref.size(), 0);
+                dpf.EvalRangeBatched(*key, begin, end, got.data(), &scratch);
+                ASSERT_EQ(got, ref) << "n=" << log_domain << " [" << begin
+                                    << "," << end << ") party "
+                                    << key->party;
+            }
+        };
+        check(0, domain);
+        for (std::uint64_t width :
+             {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49}) {
+            if (width > domain) continue;
+            const std::uint64_t last = domain - width;
+            for (std::uint64_t begin :
+                 {std::uint64_t{0}, std::min<std::uint64_t>(1, last),
+                  std::min<std::uint64_t>(7, last), last,
+                  rng.Next64() % (last + 1)}) {
+                check(begin, begin + width);
             }
         }
     }

@@ -830,6 +830,46 @@ TEST(NetServingTest, ShardedBitIdentityMatrix) {
     }
 }
 
+// Ragged last bins: with the language-model example's settings the 128
+// hot rows fall into 12 bins of 11, so the last hot bin holds 7 rows.
+// Routers size shard windows from the bin size, so a window reaches past
+// that bin's rows (K=1, 2) or starts past them (K=4: [9, 11) over 7 rows,
+// a fully clipped all-zero partial). Every routed lookup must still be
+// served and bit-identical to in-process serving.
+TEST(NetServingTest, ShardedRaggedLastBinBitIdentical) {
+    ServiceConfig config;
+    config.codesign.hot_size = 128;
+    config.codesign.colocate_c = 4;
+    config.codesign.q_hot = 12;
+    config.codesign.q_full = 4;
+    const std::vector<std::vector<std::uint64_t>> batches = {
+        {3},
+        {0, 1, 2, 120, 127},
+        {5, 64, 127, 128, 600, 1023},
+    };
+    for (const std::size_t shard_count : {1u, 2u, 4u}) {
+        NetWorld world(config, shard_count, /*vocab=*/1024);
+        const Pbr* hot = world.expected->hot_pbr();
+        ASSERT_NE(hot, nullptr);
+        ASSERT_LT(hot->BinEntries(hot->num_bins() - 1), hot->bin_size());
+        net::ShardedRouter::Options opts;
+        opts.health_thread = false;
+        net::ShardedRouter router(world.planning.get(),
+                                  world.ShardEndpoints(shard_count), opts);
+        auto expected_client = world.expected->MakeClient();
+        auto remote_client = world.planning->MakeClient();
+        for (const auto& wanted : batches) {
+            ExpectBitIdentical(
+                expected_client->Lookup(wanted),
+                router.Lookup(remote_client.get(), wanted).result);
+        }
+        for (const auto& node : world.nodes) {
+            EXPECT_EQ(node->stats().completed, batches.size())
+                << "shards=" << shard_count;
+        }
+    }
+}
+
 // Sharding composed with replication: K=2 shards x 2 replicas, still
 // bit-identical, with each shard's lookups spread over its replicas.
 TEST(NetServingTest, ShardedWithReplicationBitIdentical) {
