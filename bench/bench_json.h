@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace gpudpf {
@@ -79,6 +80,14 @@ struct JsonResult {
     bool has_isa = false;
     std::string isa;
 };
+
+// A row carrying only a name and its QPS.
+inline JsonResult QpsRow(std::string name, double qps) {
+    JsonResult row;
+    row.name = std::move(name);
+    row.qps = qps;
+    return row;
+}
 
 // Nearest-rank percentile (p in [0, 1]) of an ascending-sorted sample.
 inline double PercentileSorted(const std::vector<double>& sorted, double p) {

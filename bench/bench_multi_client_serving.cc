@@ -553,9 +553,13 @@ int main(int argc, char** argv) {
             cancel_noskip.survivor_qps > 0.0
                 ? cancel_skip.survivor_qps / cancel_noskip.survivor_qps
                 : 0.0);
-        json.push_back({"serialized_c" + std::to_string(clients), serial_qps,
-                        true, serial_lat.p50_ms, serial_lat.p95_ms,
-                        serial_lat.p99_ms});
+        bench::JsonResult serial_row =
+            bench::QpsRow("serialized_c" + std::to_string(clients), serial_qps);
+        serial_row.has_latency = true;
+        serial_row.p50_ms = serial_lat.p50_ms;
+        serial_row.p95_ms = serial_lat.p95_ms;
+        serial_row.p99_ms = serial_lat.p99_ms;
+        json.push_back(serial_row);
         for (const PooledRun* run : {&pooled, &adaptive}) {
             bench::JsonResult row;
             row.name = (run == &pooled ? "pooled_c" : "adaptive_c") +

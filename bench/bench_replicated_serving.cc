@@ -5,8 +5,9 @@
 //                                        [--connect=host:port,host:port,...]
 //
 // Local mode stands up loopback PirServerNode replicas (each over its own
-// identically-configured PrivateEmbeddingService) behind a ReplicaRouter
-// and drives them from client_threads concurrent clients:
+// identically-configured PrivateEmbeddingService) behind a ShardedRouter
+// with one shard, whose replicas they are, and drives them from
+// client_threads concurrent clients:
 //
 //   replicated_rN   steady-state QPS at 1, 2, and 4 replicas — the
 //                   throughput column is the scaling story: every replica
@@ -40,8 +41,8 @@
 #include "bench/replicated_world.h"
 #include "src/common/timer.h"
 #include "src/core/service.h"
-#include "src/net/replica_router.h"
 #include "src/net/server_node.h"
+#include "src/net/sharded_router.h"
 
 using namespace gpudpf;
 
@@ -64,14 +65,16 @@ struct RoutedRun {
     std::size_t failures = 0;   // requests that completed with an error
     std::size_t mismatches = 0; // results that differed from the reference
     std::uint64_t rerouted = 0; // lookups that needed the failover retry
-    net::ReplicaRouter::Stats router_stats;
+    net::ShardedRouter::Stats router_stats;
     std::size_t healthy_at_end = 0;
+    // Lookups each replica completed (local mode only: read from the
+    // in-process nodes' stats).
     std::vector<std::uint64_t> per_replica;
 };
 
 RoutedRun RunRouted(
     const bench::ReplicatedWorld& world,
-    const std::vector<net::ReplicaRouter::Endpoint>& endpoints,
+    const std::vector<net::Endpoint>& endpoints,
     std::size_t client_threads, std::size_t lookups_per_client,
     const std::vector<std::vector<LookupResult>>& ref,
     net::PirServerNode* abort_node, double abort_after_frac,
@@ -83,9 +86,9 @@ RoutedRun RunRouted(
     for (std::size_t c = 0; c < client_threads; ++c) {
         clients.push_back(planning->MakeClient());
     }
-    net::ReplicaRouter::Options options;
+    net::ShardedRouter::Options options;
     options.health_period_ms = 50;
-    net::ReplicaRouter router(planning.get(), endpoints, options);
+    net::ShardedRouter router(planning.get(), {endpoints}, options);
 
     if (ready_file != nullptr) {
         // Signal an external driver (the smoke script's kill-one scenario)
@@ -112,13 +115,12 @@ RoutedRun RunRouted(
                         const auto outcome = router.Lookup(
                             clients[c].get(), bench::ReplicatedWantedFor(c, l));
                         latency_ms[c].push_back(request_timer.ElapsedMillis());
-                        if (outcome.rerouted) ++rerouted;
+                        if (outcome.shards_failed_over > 0) ++rerouted;
                         if (!SameResults(outcome.result, ref[c][l])) {
                             ++mismatches;
                             std::fprintf(stderr,
-                                         "MISMATCH: client %zu lookup %zu "
-                                         "(replica %zu)\n",
-                                         c, l, outcome.replica);
+                                         "MISMATCH: client %zu lookup %zu\n",
+                                         c, l);
                         }
                     } catch (const std::exception& e) {
                         ++failures;
@@ -154,9 +156,16 @@ RoutedRun RunRouted(
     run.mismatches = mismatches.load();
     run.rerouted = rerouted.load();
     run.router_stats = router.stats();
-    run.healthy_at_end = router.healthy_count();
-    run.per_replica = router.per_replica_answered();
+    run.healthy_at_end = router.healthy_count(0);
     return run;
+}
+
+// Completed-lookup counts of in-process replica nodes.
+std::vector<std::uint64_t> AnsweredBy(
+    const std::vector<std::unique_ptr<net::PirServerNode>>& nodes) {
+    std::vector<std::uint64_t> answered;
+    for (const auto& node : nodes) answered.push_back(node->stats().completed);
+    return answered;
 }
 
 bench::JsonResult NetRow(const std::string& name, const RoutedRun& run,
@@ -176,22 +185,25 @@ bench::JsonResult NetRow(const std::string& name, const RoutedRun& run,
     return row;
 }
 
-void PrintRun(const char* name, const RoutedRun& run) {
+void PrintRun(const char* name, const RoutedRun& run, std::size_t replicas) {
     std::printf("%-14s %10.1f q/s   p50 %6.2f ms   p99 %6.2f ms   "
-                "rerouted %llu   healthy %zu/",
+                "rerouted %llu   healthy %zu/%zu",
                 name, run.qps, run.p50_ms, run.p99_ms,
                 static_cast<unsigned long long>(run.rerouted),
-                run.healthy_at_end);
-    std::printf("%zu   answered [", run.per_replica.size());
-    for (std::size_t i = 0; i < run.per_replica.size(); ++i) {
-        std::printf("%s%llu", i == 0 ? "" : " ",
-                    static_cast<unsigned long long>(run.per_replica[i]));
+                run.healthy_at_end, replicas);
+    if (!run.per_replica.empty()) {
+        std::printf("   answered [");
+        for (std::size_t i = 0; i < run.per_replica.size(); ++i) {
+            std::printf("%s%llu", i == 0 ? "" : " ",
+                        static_cast<unsigned long long>(run.per_replica[i]));
+        }
+        std::printf("]");
     }
-    std::printf("]\n");
+    std::printf("\n");
 }
 
-std::vector<net::ReplicaRouter::Endpoint> ParseConnect(const char* arg) {
-    std::vector<net::ReplicaRouter::Endpoint> endpoints;
+std::vector<net::Endpoint> ParseConnect(const char* arg) {
+    std::vector<net::Endpoint> endpoints;
     std::string list = arg;
     std::size_t start = 0;
     while (start <= list.size()) {
@@ -288,7 +300,7 @@ int main(int argc, char** argv) {
         const RoutedRun run =
             RunRouted(world, endpoints, client_threads, lookups_per_client,
                       ref, nullptr, 0.0, ready_file);
-        PrintRun("connect", run);
+        PrintRun("connect", run, endpoints.size());
         failures += run.failures;
         mismatches += run.mismatches;
         json.push_back(NetRow("connect_r" + std::to_string(endpoints.size()),
@@ -299,18 +311,19 @@ int main(int argc, char** argv) {
         for (const std::size_t replicas : {1u, 2u, 4u}) {
             std::vector<std::unique_ptr<PrivateEmbeddingService>> services;
             std::vector<std::unique_ptr<net::PirServerNode>> nodes;
-            std::vector<net::ReplicaRouter::Endpoint> endpoints;
+            std::vector<net::Endpoint> endpoints;
             for (std::size_t i = 0; i < replicas; ++i) {
                 services.push_back(world.MakeService());
                 nodes.push_back(std::make_unique<net::PirServerNode>(
                     services.back().get(), net::PirServerNode::Options{}));
                 endpoints.push_back({"127.0.0.1", nodes.back()->port()});
             }
-            const RoutedRun run =
+            RoutedRun run =
                 RunRouted(world, endpoints, client_threads,
                           lookups_per_client, ref, nullptr, 0.0);
+            run.per_replica = AnsweredBy(nodes);
             const std::string name = "replicated_r" + std::to_string(replicas);
-            PrintRun(name.c_str(), run);
+            PrintRun(name.c_str(), run, replicas);
             failures += run.failures;
             mismatches += run.mismatches;
             scaling_qps.push_back(run.qps);
@@ -343,17 +356,18 @@ int main(int argc, char** argv) {
         {
             std::vector<std::unique_ptr<PrivateEmbeddingService>> services;
             std::vector<std::unique_ptr<net::PirServerNode>> nodes;
-            std::vector<net::ReplicaRouter::Endpoint> endpoints;
+            std::vector<net::Endpoint> endpoints;
             for (std::size_t i = 0; i < 3; ++i) {
                 services.push_back(world.MakeService());
                 nodes.push_back(std::make_unique<net::PirServerNode>(
                     services.back().get(), net::PirServerNode::Options{}));
                 endpoints.push_back({"127.0.0.1", nodes.back()->port()});
             }
-            const RoutedRun run =
+            RoutedRun run =
                 RunRouted(world, endpoints, client_threads,
                           lookups_per_client, ref, nodes[1].get(), 0.3);
-            PrintRun("killone_r3", run);
+            run.per_replica = AnsweredBy(nodes);
+            PrintRun("killone_r3", run, 3);
             failures += run.failures;
             mismatches += run.mismatches;
             if (run.rerouted == 0) {

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     });
     const double seq_qps = batch / seq_sec;
     std::vector<bench::JsonResult> json;
-    json.push_back({"sequential", seq_qps});
+    json.push_back(bench::QpsRow("sequential", seq_qps));
     std::printf("\n%-30s %12s %12s %9s\n", "config", "batch ms", "queries/s",
                 "speedup");
     std::printf("%-30s %12.2f %12.1f %9s\n", "sequential", seq_sec * 1e3,
@@ -160,12 +160,12 @@ int main(int argc, char** argv) {
         std::printf("%-30s %12.2f %12.1f %8.2fx  (%.2fx vs row-major)\n",
                     label, tiled_sec * 1e3, batch / tiled_sec,
                     seq_sec / tiled_sec, batch_sec / tiled_sec);
-        json.push_back({"sharded_t" + std::to_string(threads),
-                        batch / shard_sec});
-        json.push_back({"batched_t" + std::to_string(threads),
-                        batch / batch_sec});
-        json.push_back({"tiled_t" + std::to_string(threads),
-                        batch / tiled_sec});
+        json.push_back(bench::QpsRow("sharded_t" + std::to_string(threads),
+                                     batch / shard_sec));
+        json.push_back(bench::QpsRow("batched_t" + std::to_string(threads),
+                                     batch / batch_sec));
+        json.push_back(bench::QpsRow("tiled_t" + std::to_string(threads),
+                                     batch / tiled_sec));
     }
     std::printf("\ntiled responses bit-identical to row-major: %s\n",
                 responses_identical ? "YES" : "NO");

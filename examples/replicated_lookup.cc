@@ -6,10 +6,11 @@
 // Three identically-configured PrivateEmbeddingService instances are
 // built from the same deterministic data: one per server node (each
 // behind a TCP PirServerNode), and one client-side "planning" instance
-// the router uses for key generation and reconstruction. Because every
-// replica's tables are bit-identical, ANY node can answer ANY request
-// with exactly the bytes an in-process lookup would produce — which is
-// what makes the router's transparent retry sound. The example proves
+// the router uses for key generation and reconstruction. The router is a
+// ShardedRouter with one shard whose two replicas are the nodes. Because
+// every replica's tables are bit-identical, ANY node can answer ANY
+// request with exactly the bytes an in-process lookup would produce —
+// which is what makes the router's transparent retry sound. The example proves
 // both: networked results match an in-process reference byte for byte,
 // and a hard-killed node is survived without losing a request.
 #include <cstdio>
@@ -18,8 +19,8 @@
 #include "src/common/rng.h"
 #include "src/core/service.h"
 #include "src/ml/embedding.h"
-#include "src/net/replica_router.h"
 #include "src/net/server_node.h"
+#include "src/net/sharded_router.h"
 #include "src/workloads/dataset.h"
 
 using namespace gpudpf;
@@ -68,9 +69,9 @@ int main() {
 
     auto planning = MakeService(emb, stats);
     auto reference = MakeService(emb, stats);
-    net::ReplicaRouter router(
+    net::ShardedRouter router(
         planning.get(),
-        {{"127.0.0.1", node0.port()}, {"127.0.0.1", node1.port()}}, {});
+        {{{"127.0.0.1", node0.port()}, {"127.0.0.1", node1.port()}}}, {});
 
     // Same-seed clients: the planning client's RNG stream matches the
     // reference client's, so networked results must be bit-identical.
@@ -86,8 +87,8 @@ int main() {
         const bool match = got.result.embeddings == want.embeddings &&
                            got.result.retrieved == want.retrieved;
         all_match = all_match && match;
-        std::printf("lookup of %zu ids via replica %zu: %s\n", wanted.size(),
-                    got.replica, match ? "bit-identical to in-process" : "MISMATCH");
+        std::printf("lookup of %zu ids: %s\n", wanted.size(),
+                    match ? "bit-identical to in-process" : "MISMATCH");
     }
 
     // Failover: kill node 0 hard (connections die mid-stream). The next
@@ -101,17 +102,22 @@ int main() {
         const auto want = ref_client->Lookup({11, 500, 900});
         failover_match = failover_match &&
                          got.result.embeddings == want.embeddings;
-        std::printf("lookup via replica %zu%s: %s\n", got.replica,
-                    got.rerouted ? " (rerouted)" : "",
+        std::printf("lookup%s: %s\n",
+                    got.shards_failed_over > 0 ? " (rerouted)" : "",
                     failover_match ? "ok" : "MISMATCH");
     }
     router.CheckNow();
     const auto router_stats = router.stats();
     std::printf("\n%zu/%u replicas healthy, %llu lookups, %llu failovers\n",
-                router.healthy_count(), 2u,
+                router.healthy_count(0), 2u,
                 static_cast<unsigned long long>(router_stats.requests),
                 static_cast<unsigned long long>(router_stats.failovers));
+    std::printf("lookups answered: node 0 %llu, node 1 %llu\n",
+                static_cast<unsigned long long>(node0.stats().completed),
+                static_cast<unsigned long long>(node1.stats().completed));
     std::printf("all results bit-identical to in-process: %s\n",
                 all_match && failover_match ? "YES" : "NO");
-    return all_match && failover_match && router.healthy_count() == 1 ? 0 : 1;
+    const bool ok =
+        all_match && failover_match && router.healthy_count(0) == 1;
+    return ok ? 0 : 1;
 }

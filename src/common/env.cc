@@ -25,11 +25,11 @@ const std::vector<GpudpfEnvVar>& GpudpfEnvTable() {
         {"GPUDPF_NET_MAX_FRAME_MB",
          "wire-protocol frame payload cap in MiB (default 64)"},
         {"GPUDPF_NET_REQUEST_TIMEOUT_MS",
-         "replica-router per-request timeout in ms (default 10000)"},
+         "router per-request timeout in ms (default 10000)"},
         {"GPUDPF_NET_HEALTH_PERIOD_MS",
-         "replica-router health-check period in ms (default 100)"},
+         "router health-check period in ms (default 100)"},
         {"GPUDPF_NET_SHARD_ATTEMPTS",
-         "sharded-router attempts per shard per lookup (default 2)"},
+         "router attempts per shard per lookup (default 2)"},
     };
     return kTable;
 }

@@ -73,6 +73,13 @@ constexpr std::uint64_t kFlushRows = std::uint64_t{1} << 20;
 constexpr int kLaneWord4[4] = {0, 2, 1, 3};
 constexpr int kLaneWord8[8] = {0, 4, 1, 5, 2, 6, 3, 7};
 
+// The AVX-512 blocks spell their shuffles, unpacks, shifts and multiplies
+// as all-lanes zero-masked intrinsics: they compile to the same unmasked
+// instructions, while GCC 12's unmasked wrappers pass an undefined vector
+// through and trip -Wmaybe-uninitialized.
+constexpr __mmask16 kAll32 = 0xFFFF;
+constexpr __mmask8 kAll64 = 0xFF;
+
 // One 4-word block over [0, count) rows, count <= kFlushRows: rows points
 // at the block's first word in row 0 and strides by the full row width w.
 GPUDPF_AVX2_TARGET void Avx2Block(const u128* rows, std::size_t w,
@@ -214,28 +221,36 @@ GPUDPF_AVX512_TARGET void Avx512Block(const u128* rows, std::size_t w,
             static_cast<int>(share_limbs[4 * j + 1]));
         const __m512i b2 = _mm512_set1_epi32(
             static_cast<int>(share_limbs[4 * j + 2]));
-        const __m512i pat = _mm512_shuffle_epi32(
-            _mm512_broadcast_i32x4(_mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(&shares[j]))),
+        const __m512i pat = _mm512_maskz_shuffle_epi32(
+            kAll32,
+            _mm512_maskz_broadcast_i32x4(
+                kAll32, _mm_loadu_si128(
+                            reinterpret_cast<const __m128i*>(&shares[j]))),
             static_cast<_MM_PERM_ENUM>(0x1b));
         const __m512i m0 = _mm512_loadu_si512(rows);
         const __m512i m1 = _mm512_loadu_si512(rows + 4);
-        const __m512i lo = _mm512_unpacklo_epi64(m0, m1);
-        const __m512i hi = _mm512_unpackhi_epi64(m0, m1);
-        const __m512i l1 = _mm512_shuffle_epi32(
-            lo, static_cast<_MM_PERM_ENUM>(0xf5));
-        const __m512i p00 = _mm512_mul_epu32(b0, lo);
-        const __m512i p01 = _mm512_mul_epu32(b0, l1);
-        const __m512i p10 = _mm512_mul_epu32(b1, lo);
+        const __m512i lo = _mm512_maskz_unpacklo_epi64(kAll64, m0, m1);
+        const __m512i hi = _mm512_maskz_unpackhi_epi64(kAll64, m0, m1);
+        const __m512i l1 = _mm512_maskz_shuffle_epi32(
+            kAll32, lo, static_cast<_MM_PERM_ENUM>(0xf5));
+        const __m512i p00 = _mm512_maskz_mul_epu32(kAll64, b0, lo);
+        const __m512i p01 = _mm512_maskz_mul_epu32(kAll64, b0, l1);
+        const __m512i p10 = _mm512_maskz_mul_epu32(kAll64, b1, lo);
         acc0 = _mm512_add_epi64(acc0, _mm512_and_si512(p00, mask32));
-        acc1 = _mm512_add_epi64(acc1, _mm512_srli_epi64(p00, 32));
+        acc1 = _mm512_add_epi64(acc1,
+                                _mm512_maskz_srli_epi64(kAll64, p00, 32));
         acc1 = _mm512_add_epi64(acc1, _mm512_and_si512(p01, mask32));
         acc1 = _mm512_add_epi64(acc1, _mm512_and_si512(p10, mask32));
-        acc2 = _mm512_add_epi64(acc2, _mm512_srli_epi64(p01, 32));
-        acc2 = _mm512_add_epi64(acc2, _mm512_srli_epi64(p10, 32));
-        acc2 = _mm512_add_epi64(acc2, _mm512_mul_epu32(b0, hi));
-        acc2 = _mm512_add_epi64(acc2, _mm512_mul_epu32(b1, l1));
-        acc2 = _mm512_add_epi64(acc2, _mm512_mul_epu32(b2, lo));
+        acc2 = _mm512_add_epi64(acc2,
+                                _mm512_maskz_srli_epi64(kAll64, p01, 32));
+        acc2 = _mm512_add_epi64(acc2,
+                                _mm512_maskz_srli_epi64(kAll64, p10, 32));
+        acc2 = _mm512_add_epi64(acc2,
+                                _mm512_maskz_mul_epu32(kAll64, b0, hi));
+        acc2 = _mm512_add_epi64(acc2,
+                                _mm512_maskz_mul_epu32(kAll64, b1, l1));
+        acc2 = _mm512_add_epi64(acc2,
+                                _mm512_maskz_mul_epu32(kAll64, b2, lo));
         c3a = _mm512_add_epi32(c3a, _mm512_mullo_epi32(m0, pat));
         c3b = _mm512_add_epi32(c3b, _mm512_mullo_epi32(m1, pat));
     }
@@ -334,11 +349,12 @@ GPUDPF_IFMA_TARGET void Ifma512Block(const u128* rows, std::size_t w,
         const __m512i b2 = _mm512_set1_epi64(static_cast<long long>(vhi >> 40));
         const __m512i m0 = _mm512_loadu_si512(rows);
         const __m512i m1 = _mm512_loadu_si512(rows + 4);
-        const __m512i lo = _mm512_unpacklo_epi64(m0, m1);
-        const __m512i hi = _mm512_unpackhi_epi64(m0, m1);
-        const __m512i r1 = _mm512_or_si512(_mm512_srli_epi64(lo, 52),
-                                           _mm512_slli_epi64(hi, 12));
-        const __m512i r2 = _mm512_srli_epi64(hi, 40);
+        const __m512i lo = _mm512_maskz_unpacklo_epi64(kAll64, m0, m1);
+        const __m512i hi = _mm512_maskz_unpackhi_epi64(kAll64, m0, m1);
+        const __m512i r1 =
+            _mm512_or_si512(_mm512_maskz_srli_epi64(kAll64, lo, 52),
+                            _mm512_maskz_slli_epi64(kAll64, hi, 12));
+        const __m512i r2 = _mm512_maskz_srli_epi64(kAll64, hi, 40);
         t00lo = _mm512_madd52lo_epu64(t00lo, b0, lo);
         t00hi = _mm512_madd52hi_epu64(t00hi, b0, lo);
         t01lo = _mm512_madd52lo_epu64(t01lo, b0, r1);

@@ -1,57 +1,27 @@
-// Client-side replica router: one logical serving endpoint over N
-// interchangeable PirServerNode replicas.
-//
-// Replication works because lookups are deterministic in the client's
-// state: a PreparedLookup's result depends only on its keys/plan and the
-// table contents, and every replica of an identically-configured service
-// builds bit-identical tables. Any replica may answer any request and the
-// reconstructed bytes are the same — which is what makes transparent
-// failover sound.
-//
-// Per request, the router:
-//   1. runs the client-side phase locally (Client::Prepare with wire keys),
-//   2. picks a replica — round-robin or least-inflight over the healthy
-//      set (falling back to unhealthy ones only when none are healthy, so
-//      a full outage still probes for recovery),
-//   3. sends the keys over a pooled connection and collects the streamed
-//      reply,
-//   4. on a TRANSPORT failure (dial/timeout/EOF/protocol violation) marks
-//      the replica unhealthy and retries ONCE on the next pick; an
-//      explicit kRejected (admission backpressure) or server-side terminal
-//      failure propagates immediately — the node answered, retrying would
-//      double-submit,
-//   5. reconstructs locally (Client::ReconstructTablePartial +
-//      FinalizeLookupResult) — bit-identical to an in-process lookup with
-//      the same client state.
-//
-// A health thread pings every replica each health_period_ms
-// (GPUDPF_NET_HEALTH_PERIOD_MS) with a request_timeout_ms
-// (GPUDPF_NET_REQUEST_TIMEOUT_MS) deadline, flipping replicas
-// healthy/unhealthy; CheckNow() runs one sweep synchronously for
-// deterministic tests. Lookup() may be called from many threads
-// concurrently (each thread with its own Client); connections are pooled
-// per replica.
+// Types shared by the client-side router (src/net/sharded_router.h) and
+// its callers: a node's address and the error a node's explicit answer
+// raises. A replicated deployment is a ShardedRouter with one shard whose
+// replicas are the interchangeable nodes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "src/common/mutex.h"
-#include "src/common/thread_annotations.h"
-#include "src/core/service.h"
-#include "src/net/remote_client.h"
-#include "src/net/wire.h"
+#include "src/core/request_types.h"
 
 namespace gpudpf {
 namespace net {
 
+// One PirServerNode's listening address.
+struct Endpoint {
+    std::string host = "127.0.0.1";
+    std::uint16_t port = 0;
+};
+
 // An admission rejection or server-side terminal failure from a replica
-// that DID answer — deliberately not retried (see file comment).
+// that DID answer — deliberately not retried: the node accepted or
+// refused the request itself, so resubmitting would double-submit.
 class ReplicaRequestError : public std::runtime_error {
   public:
     ReplicaRequestError(const std::string& what, AdmissionStatus admission,
@@ -65,108 +35,6 @@ class ReplicaRequestError : public std::runtime_error {
   private:
     AdmissionStatus admission_;
     RequestStatus status_;
-};
-
-class ReplicaRouter {
-  public:
-    struct Endpoint {
-        std::string host = "127.0.0.1";
-        std::uint16_t port = 0;
-    };
-
-    enum class Balance { kRoundRobin, kLeastInflight };
-
-    struct Options {
-        Balance balance = Balance::kRoundRobin;
-        // Per-request and per-probe I/O deadline; 0 = the
-        // GPUDPF_NET_REQUEST_TIMEOUT_MS default (10000).
-        int request_timeout_ms = 0;
-        // Health sweep period; 0 = the GPUDPF_NET_HEALTH_PERIOD_MS
-        // default (100). Ignored when health_thread is off.
-        int health_period_ms = 0;
-        // Off = no background sweeps; drive health with CheckNow()
-        // (deterministic tests).
-        bool health_thread = true;
-    };
-
-    // `service` supplies the expected geometry and the result assembly; it
-    // is typically the client process's own identically-configured
-    // instance. Must outlive the router.
-    ReplicaRouter(PrivateEmbeddingService* service,
-                  std::vector<Endpoint> replicas, Options options);
-    ~ReplicaRouter();
-
-    ReplicaRouter(const ReplicaRouter&) = delete;
-    ReplicaRouter& operator=(const ReplicaRouter&) = delete;
-
-    struct LookupOutcome {
-        PrivateEmbeddingService::LookupResult result;
-        std::size_t replica = 0;  // index into the endpoint list
-        bool rerouted = false;    // a transport failure was retried
-    };
-
-    // One private lookup for `client` (a Client of the router's service)
-    // via a replica. Throws ReplicaRequestError for rejections/server
-    // failures and std::runtime_error when both attempts fail at the
-    // transport level.
-    LookupOutcome Lookup(PrivateEmbeddingService::Client* client,
-                         const std::vector<std::uint64_t>& wanted,
-                         RequestPriority priority = RequestPriority::kInteractive);
-
-    // One synchronous health sweep over all replicas.
-    void CheckNow();
-
-    std::size_t healthy_count() const;
-
-    struct Stats {
-        std::uint64_t requests = 0;    // lookups answered
-        std::uint64_t failovers = 0;   // lookups that needed the retry
-        std::uint64_t rejected = 0;    // explicit replica rejections
-        std::uint64_t transport_errors = 0;  // failed attempts (any cause)
-        std::uint64_t health_probes = 0;
-    };
-    Stats stats() const GPUDPF_EXCLUDES(mu_);
-
-    // True once any lookup was answered by this replica index.
-    std::vector<std::uint64_t> per_replica_answered() const
-        GPUDPF_EXCLUDES(mu_);
-
-    // Stops the health thread and closes every pooled connection. Runs in
-    // the destructor if not called explicitly.
-    void Stop();
-
-  private:
-    struct ReplicaState {
-        Endpoint endpoint;
-        mutable Mutex mu;
-        std::vector<std::unique_ptr<NodeConnection>> idle
-            GPUDPF_GUARDED_BY(mu);
-        bool healthy GPUDPF_GUARDED_BY(mu) = true;
-        std::size_t inflight GPUDPF_GUARDED_BY(mu) = 0;
-    };
-
-    // Replica choice honoring the balance policy; excludes `exclude`
-    // (the failed first attempt) unless it is the only option.
-    std::size_t PickReplica(std::ptrdiff_t exclude);
-    std::unique_ptr<NodeConnection> Acquire(ReplicaState& replica);
-    void Release(ReplicaState& replica, std::unique_ptr<NodeConnection> conn);
-    void MarkHealth(ReplicaState& replica, bool healthy);
-    void Probe(ReplicaState& replica);
-    void HealthLoop();
-
-    PrivateEmbeddingService* service_;
-    Options options_;
-    Hello hello_;
-    std::vector<std::unique_ptr<ReplicaState>> replicas_;
-    std::atomic<std::uint64_t> next_request_id_{1};
-    std::atomic<std::size_t> rr_next_{0};
-
-    mutable Mutex mu_;
-    CondVar stop_cv_;
-    bool stop_ GPUDPF_GUARDED_BY(mu_) = false;
-    Stats stats_ GPUDPF_GUARDED_BY(mu_);
-    std::vector<std::uint64_t> answered_ GPUDPF_GUARDED_BY(mu_);
-    std::thread health_thread_;
 };
 
 }  // namespace net

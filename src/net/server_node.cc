@@ -234,10 +234,9 @@ void PirServerNode::ServeConnection(int fd) {
     }
 
     // Shard assignment, negotiated by an optional kShardHello after the
-    // geometry handshake. Only a connection that completed the shard
-    // handshake may submit ranged (scatter-gather) requests; its partials
-    // then go back as kShardPartial tagged with the assigned shard index.
-    bool sharded = false;
+    // geometry handshake (shard_count 0 marks "no handshake"). Only a
+    // handshaken connection may submit ranged requests; their partials
+    // are tagged with the assigned shard index.
     ShardHelloFrame shard_assign{};
 
     while (handshake_ok) {
@@ -301,7 +300,6 @@ void PirServerNode::ServeConnection(int fd) {
                 ++stats_.hello_rejected;
                 break;
             }
-            sharded = true;
             shard_assign = sh;
             // Echo the accepted assignment so the client can confirm.
             shared->Send(FrameType::kShardHello, EncodeShardHello(sh));
@@ -328,7 +326,7 @@ void PirServerNode::ServeConnection(int fd) {
 
         // A ranged request only makes sense on a connection that completed
         // the shard handshake (the reply is tagged with its shard index).
-        if (req.has_range && !sharded) {
+        if (req.has_range && shard_assign.shard_count == 0) {
             RejectedFrame rej;
             rej.request_id = req.request_id;
             rej.status = AdmissionStatus::kInvalidRequest;
@@ -392,34 +390,22 @@ void PirServerNode::ServeConnection(int fd) {
         ServingFrontEnd::RawSubmitOptions opts;
         opts.priority = req.priority;
         opts.deadline_us = req.deadline_us;
-        if (req.has_range) {
-            const std::uint32_t shard_index = shard_assign.shard_index;
-            opts.on_raw_partial = [shared, id,
-                                   shard_index](RawTablePartial&& part) {
-                ShardPartialFrame out;
-                out.request_id = id;
-                out.shard_index = shard_index;
-                out.hot = part.hot;
-                out.server0 = std::move(part.server0);
-                out.server1 = std::move(part.server1);
-                shared->SendEncoded(FrameType::kShardPartial,
-                                    [&out](std::vector<std::uint8_t>& buf) {
-                                        EncodeShardPartialInto(out, buf);
-                                    });
-            };
-        } else {
-            opts.on_raw_partial = [shared, id](RawTablePartial&& part) {
-                TablePartialFrame out;
-                out.request_id = id;
-                out.hot = part.hot;
-                out.server0 = std::move(part.server0);
-                out.server1 = std::move(part.server1);
-                shared->SendEncoded(FrameType::kTablePartial,
-                                    [&out](std::vector<std::uint8_t>& buf) {
-                                        EncodeTablePartialInto(out, buf);
-                                    });
-            };
-        }
+        // An unranged request is the full window of shard 0 of 1.
+        const std::uint32_t shard_index =
+            req.has_range ? shard_assign.shard_index : 0;
+        opts.on_raw_partial = [shared, id,
+                               shard_index](RawTablePartial&& part) {
+            ShardPartialFrame out;
+            out.request_id = id;
+            out.shard_index = shard_index;
+            out.hot = part.hot;
+            out.server0 = std::move(part.server0);
+            out.server1 = std::move(part.server1);
+            shared->SendEncoded(FrameType::kShardPartial,
+                                [&out](std::vector<std::uint8_t>& buf) {
+                                    EncodeShardPartialInto(out, buf);
+                                });
+        };
         opts.on_complete = [this, shared, id](RequestStatus status) {
             LookupCompleteFrame done;
             done.request_id = id;

@@ -16,17 +16,19 @@
 //                      in-process ones. Admission backpressure
 //                      (max_inflight_requests -> kQueueFull) travels back
 //                      as an explicit kRejected frame.
-//   streamed back   <- one kTablePartial per table as its job group
-//                      completes (raw shares; the client reconstructs),
-//                      then kLookupComplete with the terminal status.
+//   streamed back   <- one kShardPartial per table as its job group
+//                      completes (raw shares over the request's row
+//                      window, tagged with the connection's shard index;
+//                      the client merges and reconstructs), then
+//                      kLookupComplete with the terminal status.
 //   kPing           -> kPong (router health checks).
 //   kShardHello     -> shard-assignment handshake: the announced windows
 //                      must be exactly the canonical ShardRangeOf partition
 //                      of this node's bin-relative row space, else the
 //                      connection is closed (hello_rejected). Ranged
-//                      lookups on a shard-handshaken connection are scoped
-//                      to their row windows and answered with kShardPartial
-//                      frames tagged with the shard index.
+//                      lookups are accepted only on a shard-handshaken
+//                      connection; an unranged lookup scans the whole row
+//                      space and is answered as shard 0 of 1.
 //
 // Response frames are written by answer-pool workers and the batcher
 // thread concurrently, serialized by a per-connection write mutex.
@@ -85,7 +87,7 @@ class PirServerNode {
         std::uint64_t connections = 0;      // accepted (incl. later closed)
         std::uint64_t hello_rejected = 0;   // geometry/shard-plan rejections
         std::uint64_t requests = 0;         // lookup requests received
-        std::uint64_t shard_requests = 0;   // ... of which ranged (sharded)
+        std::uint64_t shard_requests = 0;   // ... of which ranged
         std::uint64_t completed = 0;        // kLookupComplete sent
         std::uint64_t rejected = 0;         // kRejected sent
         std::uint64_t bad_frames = 0;       // protocol violations (closed)

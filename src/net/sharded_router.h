@@ -1,25 +1,32 @@
-// Client-side sharded fleet router: one logical serving endpoint over
-// K shards x R replicas of PirServerNode, where each shard owns a window
-// of the bin-relative row space and per-request compute per node scales
-// with 1/K.
+// Client-side fleet router: one logical serving endpoint over K shards x
+// R replicas of PirServerNode, where each shard owns a window of the
+// bin-relative row space and per-request compute per node scales with
+// 1/K. It is the only router: a replicated deployment is K=1, one shard
+// whose window is the whole row space and whose R replicas are
+// interchangeable ({{e0, e1, ...}}).
 //
-// Sharding works because DPF answer shares are additive over disjoint row
-// ranges: a full-table answer share is the wrapping mod-2^128 sum of the
-// per-range shares, so K nodes can each scan only rows
-// [ShardRangeOf(bin_size, K, k)) of every bin and the client recovers the
-// exact full-scan share by summing the K partials in shard order
-// (MergeShardShares). The merged bytes are bit-identical to a single-node
-// or in-process lookup with the same client state — sharding changes who
-// does the scanning, never the answer.
+// Replication works because lookups are deterministic in the client's
+// state: a PreparedLookup's result depends only on its keys/plan and the
+// table contents, and every replica of an identically-configured service
+// builds bit-identical tables, so any replica of a shard may answer and
+// failover is transparent. Sharding works because DPF answer shares are
+// additive over disjoint row ranges: a full-table answer share is the
+// wrapping mod-2^128 sum of the per-range shares, so K nodes can each scan
+// only rows [ShardRangeOf(bin_size, K, k)) of every bin and the client
+// recovers the exact full-scan share by summing the K partials in shard
+// order (MergeShardShares). The merged bytes are bit-identical to a
+// single-node or in-process lookup with the same client state.
 //
 // Per request, the router:
 //   1. runs the client-side phase locally (Client::Prepare with wire
 //      keys) — ONE key set, identical for every shard; only the row
 //      window differs per shard,
 //   2. SCATTERS: uploads the ranged request to one replica of every shard
-//      (send-only, so all K nodes scan concurrently). Connections are
-//      pooled per (shard, replica) and shard-handshaken at dial time
-//      (kShardHello, validated and echoed by the node),
+//      (send-only, so all K nodes scan concurrently). Replicas are picked
+//      round-robin over the shard's healthy set, falling back to the full
+//      set when none is healthy so an outage still probes for recovery.
+//      Connections are pooled per (shard, replica) and shard-handshaken
+//      at dial time (kShardHello, validated and echoed by the node),
 //   3. GATHERS: collects each shard's kShardPartial stream in shard-index
 //      order. A transport failure on a shard retries THAT shard on its
 //      other replicas (a per-shard failover, counted per shard); a shard
@@ -30,10 +37,13 @@
 //
 // Rejections and server-side terminal failures propagate as
 // ReplicaRequestError without retry (the node answered; resubmitting
-// would double-submit), matching ReplicaRouter semantics.
+// would double-submit).
 //
-// K=1 degenerates to a replica router whose single "shard" owns the whole
-// row space.
+// A health thread pings every replica each health_period_ms
+// (GPUDPF_NET_HEALTH_PERIOD_MS) with a request_timeout_ms
+// (GPUDPF_NET_REQUEST_TIMEOUT_MS) deadline; CheckNow() runs one sweep
+// synchronously for deterministic tests. Lookup() may be called from many
+// threads concurrently (each thread with its own Client).
 #pragma once
 
 #include <atomic>
@@ -55,7 +65,7 @@ namespace net {
 
 class ShardedRouter {
   public:
-    using Endpoint = ReplicaRouter::Endpoint;
+    using Endpoint = net::Endpoint;
 
     struct Options {
         // Per-request and per-probe I/O deadline; 0 = the

@@ -118,7 +118,8 @@ std::vector<PirResponse> AnswerEngine::AnswerBatch(
     const PirTable& table, const std::vector<Job>& jobs) const {
     std::vector<TableJob> bound(jobs.size());
     for (std::size_t q = 0; q < jobs.size(); ++q) {
-        bound[q] = TableJob{&table, jobs[q]};
+        bound[q].table = &table;
+        bound[q].job = jobs[q];
     }
     return AnswerBatch(bound);
 }

@@ -47,12 +47,6 @@ struct LatentItems {
     }
 };
 
-float Dot(const std::vector<float>& a, const std::vector<float>& b) {
-    float s = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-    return s;
-}
-
 }  // namespace
 
 RecDataset GenerateRecDataset(const RecWorkloadSpec& spec) {

@@ -112,7 +112,9 @@ TEST(ConcurrentStatTest, SnapshotIsConsistentWhileWritersRun) {
     });
     for (int i = 0; i < 5000; ++i) {
         const RunningStat snap = stat.Snapshot();
-        if (snap.count() > 0) EXPECT_DOUBLE_EQ(snap.mean(), 2.0);
+        if (snap.count() > 0) {
+            EXPECT_DOUBLE_EQ(snap.mean(), 2.0);
+        }
     }
     stop.store(true, std::memory_order_release);
     writer.join();
