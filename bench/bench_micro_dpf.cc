@@ -2,6 +2,8 @@
 // Eval and the parallel kernel strategies on the host.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/dpf/dpf.h"
 #include "src/kernels/strategy.h"
@@ -50,6 +52,32 @@ void BM_DpfEvalFullDomain(benchmark::State& state) {
                             << n);
 }
 BENCHMARK(BM_DpfEvalFullDomain)->Arg(10)->Arg(14)->Arg(18);
+
+// The level-order range walk every CPU kernel runs per table segment:
+// 2^14-leaf segments of a log_domain 16 key, cycling through the domain.
+void BM_DpfEvalRangeBatched(benchmark::State& state) {
+    const auto prf = static_cast<PrfKind>(state.range(0));
+    const int n = 16;
+    const std::uint64_t segment = std::uint64_t{1} << 14;
+    const Dpf dpf(DpfParams{n, prf, 1});
+    Rng rng(5);
+    auto keys = dpf.GenIndicator(12345, rng);
+    std::vector<u128> out(segment);
+    Dpf::RangeScratch scratch;
+    std::uint64_t begin = 0;
+    for (auto _ : state) {
+        dpf.EvalRangeBatched(keys.first, begin, begin + segment, out.data(),
+                             &scratch);
+        benchmark::DoNotOptimize(out.data());
+        begin = (begin + segment) % dpf.domain_size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      segment));
+    state.SetLabel(PrfKindName(prf));
+}
+BENCHMARK(BM_DpfEvalRangeBatched)
+    ->Arg(static_cast<int>(PrfKind::kChacha20))
+    ->Arg(static_cast<int>(PrfKind::kAes128));
 
 void BM_StrategyHostRun(benchmark::State& state) {
     const auto kind = static_cast<StrategyKind>(state.range(0));

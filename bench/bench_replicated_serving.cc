@@ -3,6 +3,7 @@
 //   build/bench/bench_replicated_serving [client_threads] [lookups_per_client]
 //                                        [--json=path]
 //                                        [--connect=host:port,host:port,...]
+//                                        [--kill-pid=pid]
 //
 // Local mode stands up loopback PirServerNode replicas (each over its own
 // identically-configured PrivateEmbeddingService) behind a ShardedRouter
@@ -19,9 +20,10 @@
 //                   land in the JSON next to the QPS.
 //
 // --connect mode drives externally-started pir_node processes instead
-// (scripts/run_replicated_smoke.sh starts three, then SIGKILLs one
-// mid-run); the bench builds the same world locally for planning and
-// reference results.
+// (scripts/run_replicated_smoke.sh starts three and passes one as
+// --kill-pid, which the bench SIGKILLs once a quarter of the routed
+// lookups have completed); the bench builds the same world locally for
+// planning and reference results.
 //
 // Every networked result is compared against an in-process reference
 // lookup with the same client state: ANY byte difference — embeddings,
@@ -32,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -77,8 +80,7 @@ RoutedRun RunRouted(
     const std::vector<net::Endpoint>& endpoints,
     std::size_t client_threads, std::size_t lookups_per_client,
     const std::vector<std::vector<LookupResult>>& ref,
-    net::PirServerNode* abort_node, double abort_after_frac,
-    const char* ready_file = nullptr) {
+    const std::function<void()>& kill, double kill_after_frac) {
     // Planning-only: the router reconstructs from wire shares and never
     // scans a table, so its service twin skips the physical table build.
     auto planning = world.MakePlanningService();
@@ -89,13 +91,6 @@ RoutedRun RunRouted(
     net::ShardedRouter::Options options;
     options.health_period_ms = 50;
     net::ShardedRouter router(planning.get(), {endpoints}, options);
-
-    if (ready_file != nullptr) {
-        // Signal an external driver (the smoke script's kill-one scenario)
-        // that the routed load is about to start — its SIGKILL lands
-        // mid-run instead of racing the world build.
-        if (std::FILE* f = std::fopen(ready_file, "w")) std::fclose(f);
-    }
 
     RoutedRun run;
     std::atomic<std::size_t> done{0};
@@ -132,13 +127,15 @@ RoutedRun RunRouted(
                 }
             });
         }
-        if (abort_node != nullptr) {
+        if (kill) {
+            // Counted in completed lookups, not wall time, so the kill
+            // lands mid-load however fast the load runs.
             const std::size_t trigger = static_cast<std::size_t>(
-                abort_after_frac * client_threads * lookups_per_client);
+                kill_after_frac * client_threads * lookups_per_client);
             while (done.load() < trigger) {
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
             }
-            abort_node->Abort();
+            kill();
         }
         for (auto& t : threads) t.join();
     }
@@ -227,13 +224,13 @@ std::vector<net::Endpoint> ParseConnect(const char* arg) {
 int main(int argc, char** argv) {
     const char* json_path = bench::JsonPathFromArgs(argc, argv);
     const char* connect = nullptr;
-    const char* ready_file = nullptr;
+    long long kill_pid = 0;
     std::vector<const char*> positional;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--connect=", 10) == 0) {
             connect = argv[i] + 10;
-        } else if (std::strncmp(argv[i], "--ready-file=", 13) == 0) {
-            ready_file = argv[i] + 13;
+        } else if (std::strncmp(argv[i], "--kill-pid=", 11) == 0) {
+            kill_pid = std::atoll(argv[i] + 11);
         } else if (std::strncmp(argv[i], "--json=", 7) != 0) {
             positional.push_back(argv[i]);
         }
@@ -247,7 +244,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "usage: %s [client_threads 1..256] "
                      "[lookups_per_client 1..100000] [--json=path] "
-                     "[--connect=host:port,...]\n",
+                     "[--connect=host:port,...] [--kill-pid=pid]\n",
                      argv[0]);
         return 2;
     }
@@ -299,7 +296,8 @@ int main(int argc, char** argv) {
         }
         const RoutedRun run =
             RunRouted(world, endpoints, client_threads, lookups_per_client,
-                      ref, nullptr, 0.0, ready_file);
+                      ref, bench::KillPid(kill_pid),
+                      bench::kKillPidAfterFrac);
         PrintRun("connect", run, endpoints.size());
         failures += run.failures;
         mismatches += run.mismatches;
@@ -365,7 +363,8 @@ int main(int argc, char** argv) {
             }
             RoutedRun run =
                 RunRouted(world, endpoints, client_threads,
-                          lookups_per_client, ref, nodes[1].get(), 0.3);
+                          lookups_per_client, ref,
+                          [&nodes] { nodes[1]->Abort(); }, 0.3);
             run.per_replica = AnsweredBy(nodes);
             PrintRun("killone_r3", run, 3);
             failures += run.failures;

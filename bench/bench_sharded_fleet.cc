@@ -5,6 +5,7 @@
 //   build/bench/bench_sharded_fleet [client_threads] [lookups_per_client]
 //                                   [--json=path]
 //                                   [--connect=h:p,h:p;h:p,h:p]
+//                                   [--kill-pid=pid]
 //
 // Local mode stands up loopback PirServerNode fleets (each node over its
 // own identically-configured PrivateEmbeddingService) behind a
@@ -22,7 +23,8 @@
 //
 // --connect mode drives externally-started pir_node processes
 // (scripts/run_sharded_smoke.sh): shards are ';'-separated, replicas of a
-// shard ','-separated.
+// shard ','-separated. With --kill-pid the bench SIGKILLs that node itself
+// once a quarter of the routed lookups have completed.
 //
 // Every sharded result is compared against an in-process reference lookup
 // with the same client state: ANY byte difference fails the bench
@@ -38,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -81,8 +84,7 @@ ShardedRun RunSharded(
     std::size_t client_threads, std::size_t lookups_per_client,
     const std::vector<std::vector<LookupResult>>& ref,
     const std::vector<net::PirServerNode*>& nodes,
-    net::PirServerNode* abort_node, double abort_after_frac,
-    const char* ready_file = nullptr) {
+    const std::function<void()>& kill, double kill_after_frac) {
     // Planning-only: the router reconstructs from wire shares and never
     // scans a table, so its service twin skips the physical table build.
     auto planning = world.MakePlanningService();
@@ -93,13 +95,6 @@ ShardedRun RunSharded(
     net::ShardedRouter::Options options;
     options.health_period_ms = 50;
     net::ShardedRouter router(planning.get(), shards, options);
-
-    if (ready_file != nullptr) {
-        // Signal an external driver (the smoke script's kill-one scenario)
-        // that the routed load is about to start — its SIGKILL lands
-        // mid-run instead of racing the world build.
-        if (std::FILE* f = std::fopen(ready_file, "w")) std::fclose(f);
-    }
 
     ShardedRun run;
     std::atomic<std::size_t> done{0};
@@ -134,13 +129,15 @@ ShardedRun RunSharded(
                 }
             });
         }
-        if (abort_node != nullptr) {
+        if (kill) {
+            // Counted in completed lookups, not wall time, so the kill
+            // lands mid-load however fast the load runs.
             const std::size_t trigger = static_cast<std::size_t>(
-                abort_after_frac * client_threads * lookups_per_client);
+                kill_after_frac * client_threads * lookups_per_client);
             while (done.load() < trigger) {
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
             }
-            abort_node->Abort();
+            kill();
         }
         for (auto& t : threads) t.join();
     }
@@ -238,13 +235,13 @@ std::vector<std::vector<net::ShardedRouter::Endpoint>> ParseConnect(
 int main(int argc, char** argv) {
     const char* json_path = bench::JsonPathFromArgs(argc, argv);
     const char* connect = nullptr;
-    const char* ready_file = nullptr;
+    long long kill_pid = 0;
     std::vector<const char*> positional;
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--connect=", 10) == 0) {
             connect = argv[i] + 10;
-        } else if (std::strncmp(argv[i], "--ready-file=", 13) == 0) {
-            ready_file = argv[i] + 13;
+        } else if (std::strncmp(argv[i], "--kill-pid=", 11) == 0) {
+            kill_pid = std::atoll(argv[i] + 11);
         } else if (std::strncmp(argv[i], "--json=", 7) != 0) {
             positional.push_back(argv[i]);
         }
@@ -258,7 +255,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "usage: %s [client_threads 1..256] "
                      "[lookups_per_client 1..100000] [--json=path] "
-                     "[--connect=h:p,h:p;h:p,...]\n",
+                     "[--connect=h:p,h:p;h:p,...] [--kill-pid=pid]\n",
                      argv[0]);
         return 2;
     }
@@ -332,7 +329,8 @@ int main(int argc, char** argv) {
         }
         const ShardedRun run =
             RunSharded(world, shards, client_threads, lookups_per_client,
-                       ref, {}, nullptr, 0.0, ready_file);
+                       ref, {}, bench::KillPid(kill_pid),
+                       bench::kKillPidAfterFrac);
         PrintRun("connect", run);
         failures += run.failures;
         mismatches += run.mismatches;
@@ -422,7 +420,8 @@ int main(int argc, char** argv) {
             // Kill shard 1's first replica (nodes[2]).
             const ShardedRun run =
                 RunSharded(world, shards, client_threads, lookups_per_client,
-                           ref, node_ptrs, nodes[2].get(), 0.3);
+                           ref, node_ptrs,
+                           [&nodes] { nodes[2]->Abort(); }, 0.3);
             PrintRun("killone_k2r2", run);
             failures += run.failures;
             mismatches += run.mismatches;

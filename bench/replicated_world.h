@@ -12,7 +12,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+
+#include <signal.h>
 
 #include "src/common/rng.h"
 #include "src/core/service.h"
@@ -82,6 +85,18 @@ inline std::vector<std::uint64_t> ReplicatedWantedFor(std::size_t client,
         wanted[i] = (client * 131 + lookup * 17 + i * 263) % kReplicatedVocab;
     }
     return wanted;
+}
+
+// --kill-pid=<pid> of the router benches (the smoke scripts' kill-one
+// scenario): the bench itself SIGKILLs that external node once this share
+// of the routed lookups has completed, so the kill lands mid-load however
+// fast the load runs.
+constexpr double kKillPidAfterFrac = 0.25;
+
+// The kill action for --kill-pid, or an empty function when pid <= 0.
+inline std::function<void()> KillPid(long long pid) {
+    if (pid <= 0) return {};
+    return [pid] { ::kill(static_cast<pid_t>(pid), SIGKILL); };
 }
 
 }  // namespace bench

@@ -6,8 +6,9 @@
 # Starts three pir_node processes on ephemeral loopback ports, runs the
 # router smoke (bench_replicated_serving --connect: bit-identity against
 # an in-process reference, exit 1 on any mismatch or failed request), then
-# re-runs the load and SIGKILLs one node mid-run: every request must still
-# complete via rerouting, and the bench JSON must show failovers > 0.
+# re-runs the load with --kill-pid so the bench SIGKILLs one node mid-run:
+# every request must still complete via rerouting, and the bench JSON must
+# show failovers > 0.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -57,24 +58,15 @@ echo "== router smoke: bit-identity across 3 external replicas =="
 
 echo
 echo "== kill-one scenario: SIGKILL a node mid-run =="
-# The bench touches the ready file right before the routed load starts, so
-# the SIGKILL deterministically lands mid-run; the router retries the
-# broken requests on the survivors and the health checks stop routing to
-# the corpse.
-"$BENCH_BIN" 6 200 --connect="$ENDPOINTS" --json="$JSON_OUT" \
-    --ready-file="$WORK_DIR/ready" > "$WORK_DIR/killone.log" 2>&1 &
-BENCH_PID=$!
-for _ in $(seq 1 300); do
-    [ -e "$WORK_DIR/ready" ] && break
-    sleep 0.1
-done
-[ -e "$WORK_DIR/ready" ] || { echo "bench never signalled ready"; exit 1; }
-sleep 0.3
-kill -KILL "${NODE_PIDS[1]}"
-echo "killed node 1 (pid ${NODE_PIDS[1]})"
-if ! wait "$BENCH_PID"; then
+# The bench SIGKILLs node 1 itself once a quarter of the routed lookups
+# have completed, so the kill lands mid-run however fast the load runs;
+# the router retries the broken requests on the survivors and the health
+# checks stop routing to the corpse.
+if ! "$BENCH_BIN" 6 200 --connect="$ENDPOINTS" --json="$JSON_OUT" \
+    --kill-pid="${NODE_PIDS[1]}" > "$WORK_DIR/killone.log" 2>&1; then
     echo "kill-one bench FAILED:"; cat "$WORK_DIR/killone.log"; exit 1
 fi
+echo "killed node 1 (pid ${NODE_PIDS[1]})"
 cat "$WORK_DIR/killone.log"
 
 # The run must actually have exercised failover.

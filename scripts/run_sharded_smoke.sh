@@ -9,9 +9,10 @@
 # binary serves replicated and sharded fleets). Runs the sharded router
 # smoke (bench_sharded_fleet --connect: scatter-gather bit-identity
 # against an in-process reference, exit 1 on any mismatch or failed
-# request), then re-runs the load and SIGKILLs one SHARD OWNER mid-run:
-# every request must still complete via that shard's sibling replica, and
-# the bench JSON's shard_failovers array must show a nonzero entry.
+# request), then re-runs the load with --kill-pid so the bench SIGKILLs
+# one SHARD OWNER mid-run: every request must still complete via that
+# shard's sibling replica, and the bench JSON's shard_failovers array must
+# show a nonzero entry.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -65,23 +66,15 @@ echo "== sharded smoke: scatter-gather bit-identity across the fleet =="
 
 echo
 echo "== kill-one-shard-owner scenario: SIGKILL node 2 mid-run =="
-# The bench touches the ready file right before the routed load starts, so
-# the SIGKILL deterministically lands mid-run; shard 1's requests must
-# fail over to node 3 (its sibling replica) and every request completes.
-"$BENCH_BIN" 6 200 --connect="$ENDPOINTS" --json="$JSON_OUT" \
-    --ready-file="$WORK_DIR/ready" > "$WORK_DIR/killone.log" 2>&1 &
-BENCH_PID=$!
-for _ in $(seq 1 300); do
-    [ -e "$WORK_DIR/ready" ] && break
-    sleep 0.1
-done
-[ -e "$WORK_DIR/ready" ] || { echo "bench never signalled ready"; exit 1; }
-sleep 0.3
-kill -KILL "${NODE_PIDS[2]}"
-echo "killed node 2 (pid ${NODE_PIDS[2]}) — shard 1, replica 0"
-if ! wait "$BENCH_PID"; then
+# The bench SIGKILLs node 2 itself once a quarter of the routed lookups
+# have completed, so the kill lands mid-run however fast the load runs;
+# shard 1's requests must fail over to node 3 (its sibling replica) and
+# every request completes.
+if ! "$BENCH_BIN" 6 200 --connect="$ENDPOINTS" --json="$JSON_OUT" \
+    --kill-pid="${NODE_PIDS[2]}" > "$WORK_DIR/killone.log" 2>&1; then
     echo "kill-one bench FAILED:"; cat "$WORK_DIR/killone.log"; exit 1
 fi
+echo "killed node 2 (pid ${NODE_PIDS[2]}) — shard 1, replica 0"
 cat "$WORK_DIR/killone.log"
 
 # The run must actually have exercised the per-shard failover path: at

@@ -33,6 +33,10 @@ constexpr int Lsb(u128 v) { return static_cast<int>(v & 1); }
 // control bit, as in the standard BGI construction).
 constexpr u128 ClearLsb(u128 v) { return v & ~static_cast<u128>(1); }
 
+// All ones when the LSB is set, else zero: selects a packed DPF node's
+// correction word without a branch on its control bit.
+constexpr u128 LsbMask(u128 v) { return static_cast<u128>(0) - (v & 1); }
+
 // Serializes to 16 little-endian bytes.
 inline void StoreU128Le(u128 v, std::uint8_t out[16]) {
     std::uint64_t lo = Lo64(v);

@@ -56,7 +56,7 @@ class Aes128 {
 //   lefts[i]  = AES_left(seeds[i])  ^ seeds[i]
 //   rights[i] = AES_right(seeds[i]) ^ seeds[i]
 // Interleaves both key schedules over the batch (8 blocks in flight on
-// AES-NI) — the DPF tree-level expansion primitive behind Prg::ExpandBatch.
+// AES-NI) — the DPF tree-level expansion primitive behind Prg::ExpandLevel.
 void MmoExpandBatch(const Aes128& left, const Aes128& right, const u128* seeds,
                     std::size_t n, u128* lefts, u128* rights);
 

@@ -1,9 +1,10 @@
-// Lane-parallel ChaCha20 node expansion behind Prg::ExpandBatch, plus the
-// scalar reference expansions behind Prg::Expand and Prg::ExpandWide.
+// Lane-parallel ChaCha20 DPF level expansion behind Prg::ExpandLevel,
+// plus the scalar reference expansions behind Prg::Expand and
+// Prg::ExpandWide.
 //
 // Lane i of state word j holds word j of seed i's block, so the column and
 // diagonal quarter-rounds are plain vector add/xor/rotate with no shuffles
-// (vprold on AVX-512); only loading the seeds and storing the children
+// (vprold on AVX-512); only loading the parents and storing the children
 // transpose between that layout and memory order. The round body is
 // written once over GCC vector extensions and always-inlined into one
 // target-attributed block function per ISA (the src/crypto/aes128_ni.cc
@@ -17,7 +18,15 @@
 // epi64) turns them into key-word registers k0..k3 whose element (lane k,
 // slot j) belongs to that same seed. ChaCha is lane-wise, so the output
 // words 0-3 (left child) and 4-7 (right child) go back through the same
-// self-inverse transpose and land in memory order.
+// self-inverse transpose and land in memory order, one register of lefts
+// and one of rights per r_j; a two-source 64-bit permute then interleaves
+// them into the next level's L0 R0 L1 R1 ... order.
+//
+// DPF correction: a parent's control bit t is its LSB, i.e. bit 0 of key
+// word 0. Right after the transpose, m = 0 - (k0 & 1) is all ones in every
+// lane whose parent has t set, and k0 &= ~1 gives the seed the PRG keys
+// on. After the rounds, each child word w is xored with m & cw[w], the
+// broadcast correction word, so no lane ever branches on t.
 
 #include "src/crypto/chacha20_simd.h"
 
@@ -56,18 +65,20 @@ u128 WordsToU128(const std::uint32_t w[4]) {
            (static_cast<u128>(w[1]) << 32) | w[0];
 }
 
-// Scalar loop over the reference expansion. Every batch path reads and
-// writes the caller's buffers through memcpy, so they need no alignment.
-void ExpandScalarBatch(const u128* seeds, std::size_t n, u128* lefts,
-                       u128* rights) {
+// Scalar loop over the reference expansion plus the masked correction.
+// Every level path reads and writes the caller's buffers through memcpy,
+// so they need no alignment.
+void ExpandLevelScalar(const u128* parents, std::size_t n, u128 cw_left,
+                       u128 cw_right, u128* children) {
     for (std::size_t i = 0; i < n; ++i) {
-        u128 seed;
-        u128 left;
-        u128 right;
-        std::memcpy(&seed, seeds + i, sizeof(seed));
-        ChachaExpandScalar(seed, &left, &right);
-        std::memcpy(lefts + i, &left, sizeof(left));
-        std::memcpy(rights + i, &right, sizeof(right));
+        u128 parent;
+        std::memcpy(&parent, parents + i, sizeof(parent));
+        const u128 mask = LsbMask(parent);
+        u128 pair[2];
+        ChachaExpandScalar(ClearLsb(parent), &pair[0], &pair[1]);
+        pair[0] ^= mask & cw_left;
+        pair[1] ^= mask & cw_right;
+        std::memcpy(children + 2 * i, pair, sizeof(pair));
     }
 }
 
@@ -123,6 +134,20 @@ GPUDPF_ALWAYS_INLINE void ChachaLanes(const V (&key)[4], V (&out)[8]) {
     }
 }
 
+// One packed level over a lane block: splits the control bit off key word
+// 0, runs the rounds and applies the masked correction words (cw[0..3]
+// left, cw[4..7] right, as 32-bit words low first) to out.
+template <typename V>
+GPUDPF_ALWAYS_INLINE void ChachaLevelLanes(V (&key)[4],
+                                           const std::uint32_t (&cw)[8],
+                                           V (&out)[8]) {
+    const V zero{};
+    const V mask = zero - (key[0] & 1u);
+    key[0] &= ~1u;
+    ChachaLanes(key, out);
+    for (int j = 0; j < 8; ++j) out[j] ^= mask & cw[j];
+}
+
 // 4x4 transpose of 32-bit words inside every 128-bit lane. The AVX-512
 // form spells the unpacks as all-lanes zero-masked intrinsics: they
 // compile to the same unmasked instructions, while GCC's unmasked
@@ -156,56 +181,81 @@ GPUDPF_AVX2_TARGET GPUDPF_ALWAYS_INLINE void Transpose4(U32x8 (&r)[4]) {
     r[3] = (U32x8)_mm256_unpackhi_epi64(t1, t3);
 }
 
-// One full lane block: sizeof(V) / 4 seeds in, as many children out. The
-// two entry points differ only in their target attribute, which a template
-// cannot vary, so each spells the load/rounds/store sequence out.
-GPUDPF_AVX512_TARGET void Block16(const u128* seeds, u128* lefts,
-                                  u128* rights) {
+// One full lane block: sizeof(V) / 4 packed parents in, twice as many
+// corrected children out, interleaved. The two entry points differ only in
+// their target attribute and the interleave, which a template cannot vary,
+// so each spells the load/rounds/store sequence out.
+GPUDPF_AVX512_TARGET void Block16(const u128* parents,
+                                  const std::uint32_t (&cw)[8],
+                                  u128* children) {
     U32x16 key[4];
-    std::memcpy(key, seeds, sizeof(key));
+    std::memcpy(key, parents, sizeof(key));
     Transpose4(key);
     U32x16 out[8];
-    ChachaLanes(key, out);
+    ChachaLevelLanes(key, cw, out);
     U32x16 left[4] = {out[0], out[1], out[2], out[3]};
     U32x16 right[4] = {out[4], out[5], out[6], out[7]};
     Transpose4(left);
     Transpose4(right);
-    std::memcpy(lefts, left, sizeof(left));
-    std::memcpy(rights, right, sizeof(right));
+    // left[j] / right[j] hold the children of parents 4j..4j+3, one per
+    // 128-bit lane; 64-bit index i < 8 picks from left, 8 + i from right.
+    constexpr __mmask8 kAll64 = 0xFF;
+    const __m512i lo_idx = _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0);
+    const __m512i hi_idx = _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4);
+    __m512i pairs[8];
+    for (int j = 0; j < 4; ++j) {
+        pairs[2 * j] = _mm512_maskz_permutex2var_epi64(
+            kAll64, (__m512i)left[j], lo_idx, (__m512i)right[j]);
+        pairs[2 * j + 1] = _mm512_maskz_permutex2var_epi64(
+            kAll64, (__m512i)left[j], hi_idx, (__m512i)right[j]);
+    }
+    std::memcpy(children, pairs, sizeof(pairs));
 }
 
-GPUDPF_AVX2_TARGET void Block8(const u128* seeds, u128* lefts, u128* rights) {
+GPUDPF_AVX2_TARGET void Block8(const u128* parents,
+                               const std::uint32_t (&cw)[8], u128* children) {
     U32x8 key[4];
-    std::memcpy(key, seeds, sizeof(key));
+    std::memcpy(key, parents, sizeof(key));
     Transpose4(key);
     U32x8 out[8];
-    ChachaLanes(key, out);
+    ChachaLevelLanes(key, cw, out);
     U32x8 left[4] = {out[0], out[1], out[2], out[3]};
     U32x8 right[4] = {out[4], out[5], out[6], out[7]};
     Transpose4(left);
     Transpose4(right);
-    std::memcpy(lefts, left, sizeof(left));
-    std::memcpy(rights, right, sizeof(right));
+    // left[j] / right[j] hold the children of parents 2j and 2j+1.
+    __m256i pairs[8];
+    for (int j = 0; j < 4; ++j) {
+        pairs[2 * j] = _mm256_permute2x128_si256((__m256i)left[j],
+                                                 (__m256i)right[j], 0x20);
+        pairs[2 * j + 1] = _mm256_permute2x128_si256(
+            (__m256i)left[j], (__m256i)right[j], 0x31);
+    }
+    std::memcpy(children, pairs, sizeof(pairs));
 }
 
 // Full blocks straight from the caller's buffers; a partial last block
-// (and a whole batch narrower than one vector) through zero-padded copies.
+// (and a whole level narrower than one vector) through zero-padded copies.
 template <std::size_t kLanes>
-void ExpandLanes(void (*block)(const u128*, u128*, u128*), const u128* seeds,
-                 std::size_t n, u128* lefts, u128* rights) {
+void ExpandLevelLanes(void (*block)(const u128*, const std::uint32_t (&)[8],
+                                    u128*),
+                      const u128* parents, std::size_t n, u128 cw_left,
+                      u128 cw_right, u128* children) {
+    std::uint32_t cw[8];
+    for (int j = 0; j < 4; ++j) {
+        cw[j] = static_cast<std::uint32_t>(cw_left >> (32 * j));
+        cw[4 + j] = static_cast<std::uint32_t>(cw_right >> (32 * j));
+    }
     std::size_t i = 0;
     for (; i + kLanes <= n; i += kLanes) {
-        block(seeds + i, lefts + i, rights + i);
+        block(parents + i, cw, children + 2 * i);
     }
     if (i == n) return;
-    const std::size_t tail_bytes = (n - i) * sizeof(u128);
-    u128 pad_seeds[kLanes] = {};
-    u128 pad_lefts[kLanes];
-    u128 pad_rights[kLanes];
-    std::memcpy(pad_seeds, seeds + i, tail_bytes);
-    block(pad_seeds, pad_lefts, pad_rights);
-    std::memcpy(lefts + i, pad_lefts, tail_bytes);
-    std::memcpy(rights + i, pad_rights, tail_bytes);
+    u128 pad_parents[kLanes] = {};
+    u128 pad_children[2 * kLanes];
+    std::memcpy(pad_parents, parents + i, (n - i) * sizeof(u128));
+    block(pad_parents, cw, pad_children);
+    std::memcpy(children + 2 * i, pad_children, 2 * (n - i) * sizeof(u128));
 }
 
 #endif  // GPUDPF_HAVE_CHACHA_SIMD_BUILD
@@ -259,19 +309,21 @@ ChachaIsa BestChachaIsa() {
     return isa;
 }
 
-void ChachaExpandBatch(ChachaIsa isa, const u128* seeds, std::size_t n,
-                       u128* lefts, u128* rights) {
+void ChachaExpandLevel(ChachaIsa isa, const u128* parents, std::size_t n,
+                       u128 cw_left, u128 cw_right, u128* children) {
     switch (isa) {
 #ifdef GPUDPF_HAVE_CHACHA_SIMD_BUILD
         case ChachaIsa::kAvx512:
-            ExpandLanes<16>(&Block16, seeds, n, lefts, rights);
+            ExpandLevelLanes<16>(&Block16, parents, n, cw_left, cw_right,
+                                 children);
             return;
         case ChachaIsa::kAvx2:
-            ExpandLanes<8>(&Block8, seeds, n, lefts, rights);
+            ExpandLevelLanes<8>(&Block8, parents, n, cw_left, cw_right,
+                                children);
             return;
 #endif
         default:
-            ExpandScalarBatch(seeds, n, lefts, rights);
+            ExpandLevelScalar(parents, n, cw_left, cw_right, children);
             return;
     }
 }

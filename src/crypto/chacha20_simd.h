@@ -1,13 +1,14 @@
 // ChaCha20 PRG backend (internal to src/crypto; Prg is the public door):
-// node expansion with one entry point per instruction set, and wide-output
-// conversion.
+// node expansion, one DPF tree-level entry point per instruction set, and
+// wide-output conversion.
 //
 // Every call keys ChaCha20 with the seed repeated to fill the 256-bit key.
 // A node expansion runs one block (counter 0, nonce "DPF") and keeps
 // output words 0-3 as the left child and words 4-7 as the right child.
-// The vector paths (src/crypto/chacha20_simd.cc) run 8 (AVX2) or 16
-// (AVX-512) seeds in lockstep, one seed per vector lane, and are
-// bit-identical to the scalar block function for every input.
+// The vector level paths (src/crypto/chacha20_simd.cc) run 8 (AVX2) or 16
+// (AVX-512) parents in lockstep, one per vector lane, and are
+// bit-identical to the scalar block function plus the masked correction
+// for every input.
 #pragma once
 
 #include <cstddef>
@@ -35,11 +36,17 @@ bool ChachaIsaSupported(ChachaIsa isa);
 // The widest supported path, resolved once at first use.
 ChachaIsa BestChachaIsa();
 
-// (lefts[i], rights[i]) = ChachaExpandScalar(seeds[i]) for i < n, through
-// the given path, which must be supported. Pointers need no alignment.
-// Batches, and tails narrower than one vector, run on a zero-padded lane
-// block rather than falling back to the scalar loop.
-void ChachaExpandBatch(ChachaIsa isa, const u128* seeds, std::size_t n,
-                       u128* lefts, u128* rights);
+// One packed DPF tree level (Prg::ExpandLevel's ChaCha20 case) through the
+// given path, which must be supported. parents[i] is a seed with its
+// control bit t in the LSB; with (l, r) = ChachaExpandScalar(parents[i]
+// with the LSB cleared) and m = all ones when t is set:
+//   children[2i]     = l ^ (m & cw_left)
+//   children[2i + 1] = r ^ (m & cw_right)
+// The vector paths apply the correction in registers and interleave the
+// children before the store. Pointers need no alignment; children must
+// not overlap parents. Levels, and tails narrower than one vector, run on
+// a zero-padded lane block rather than falling back to the scalar loop.
+void ChachaExpandLevel(ChachaIsa isa, const u128* parents, std::size_t n,
+                       u128 cw_left, u128 cw_right, u128* children);
 
 }  // namespace gpudpf

@@ -1,5 +1,7 @@
 #include "src/crypto/prg.h"
 
+#include <algorithm>
+
 #include "src/crypto/chacha20_simd.h"
 #include "src/crypto/highwayhash.h"
 #include "src/crypto/sha256.h"
@@ -56,18 +58,37 @@ void Prg::Expand(u128 seed, u128* left, u128* right) const {
     }
 }
 
-void Prg::ExpandBatch(const u128* seeds, std::size_t n, u128* lefts,
-                      u128* rights) const {
-    if (kind_ == PrfKind::kAes128) {
-        MmoExpandBatch(*aes_left_, *aes_right_, seeds, n, lefts, rights);
-        return;
-    }
+void Prg::ExpandLevel(const u128* parents, std::size_t n, u128 cw_left,
+                      u128 cw_right, u128* children) const {
     if (kind_ == PrfKind::kChacha20) {
-        ChachaExpandBatch(BestChachaIsa(), seeds, n, lefts, rights);
+        ChachaExpandLevel(BestChachaIsa(), parents, n, cw_left, cw_right,
+                          children);
         return;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        Expand(seeds[i], &lefts[i], &rights[i]);
+    // Expand a chunk into split left/right arrays (MMO pipelined for the
+    // AES kind), then correct and interleave it in one masked pass.
+    constexpr std::size_t kChunk = 64;
+    u128 seeds[kChunk];
+    u128 lefts[kChunk];
+    u128 rights[kChunk];
+    for (std::size_t base = 0; base < n; base += kChunk) {
+        const std::size_t m = std::min(kChunk, n - base);
+        for (std::size_t i = 0; i < m; ++i) {
+            seeds[i] = ClearLsb(parents[base + i]);
+        }
+        if (kind_ == PrfKind::kAes128) {
+            MmoExpandBatch(*aes_left_, *aes_right_, seeds, m, lefts, rights);
+        } else {
+            for (std::size_t i = 0; i < m; ++i) {
+                Expand(seeds[i], &lefts[i], &rights[i]);
+            }
+        }
+        u128* out = children + 2 * base;
+        for (std::size_t i = 0; i < m; ++i) {
+            const u128 mask = LsbMask(parents[base + i]);
+            out[2 * i] = lefts[i] ^ (mask & cw_left);
+            out[2 * i + 1] = rights[i] ^ (mask & cw_right);
+        }
     }
 }
 

@@ -17,6 +17,43 @@ void Convert(const Prg& prg, u128 seed, u128* out, int n) {
     prg.ExpandWide(seed, out, static_cast<std::size_t>(n));
 }
 
+// The pruned DFS behind EvalRange: a node at (level, index) covers
+// leaves [index << (n - level), (index + 1) << (n - level)) and is pruned
+// when that span is disjoint from [begin, end). Writes leaf x's out_words
+// words at out + (x - begin) * out_words.
+void EvalRangeDfs(const Dpf& dpf, const DpfKey& key, std::uint64_t begin,
+                  std::uint64_t end, u128* out) {
+    const int n = dpf.params().log_domain;
+    const int w = dpf.params().out_words;
+    if (begin == end) return;
+    struct Frame {
+        Dpf::Node node;
+        int level;
+        std::uint64_t index;  // node index within its level
+    };
+    std::vector<Frame> stack;
+    stack.reserve(2 * n + 2);
+    stack.push_back({dpf.Root(key), 0, 0});
+    while (!stack.empty()) {
+        Frame f = stack.back();
+        stack.pop_back();
+        const int span_log = n - f.level;
+        const std::uint64_t lo = f.index << span_log;
+        const std::uint64_t hi = lo + (std::uint64_t{1} << span_log);
+        if (hi <= begin || lo >= end) continue;
+        if (f.level == n) {
+            dpf.Finalize(key, f.node, out + (f.index - begin) * w);
+            continue;
+        }
+        Dpf::Node left;
+        Dpf::Node right;
+        dpf.ExpandNode(key, f.node, f.level, &left, &right);
+        // Push right first so leaves are produced left-to-right.
+        stack.push_back({right, f.level + 1, 2 * f.index + 1});
+        stack.push_back({left, f.level + 1, 2 * f.index});
+    }
+}
+
 }  // namespace
 
 std::size_t DpfKey::SerializedSize() const {
@@ -255,40 +292,9 @@ void Dpf::EvalRange(const DpfKey& key, std::uint64_t begin, std::uint64_t end,
     if (begin > end || end > domain_size()) {
         throw std::invalid_argument("Dpf::EvalRange: bad range");
     }
-    const int n = params_.log_domain;
-    const int w = params_.out_words;
-    out->assign((end - begin) * static_cast<std::uint64_t>(w), 0);
-    if (begin == end) return;
-
-    // Same DFS as EvalFullDomain, but a node at (level, index) covers leaves
-    // [index << (n - level), (index + 1) << (n - level)) and is pruned when
-    // that span is disjoint from [begin, end).
-    struct Frame {
-        Node node;
-        int level;
-        std::uint64_t index;  // node index within its level
-    };
-    std::vector<Frame> stack;
-    stack.reserve(2 * n + 2);
-    stack.push_back({Root(key), 0, 0});
-    while (!stack.empty()) {
-        Frame f = stack.back();
-        stack.pop_back();
-        const int span_log = n - f.level;
-        const std::uint64_t lo = f.index << span_log;
-        const std::uint64_t hi = lo + (std::uint64_t{1} << span_log);
-        if (hi <= begin || lo >= end) continue;
-        if (f.level == n) {
-            Finalize(key, f.node, out->data() + (f.index - begin) * w);
-            continue;
-        }
-        Node left;
-        Node right;
-        ExpandNode(key, f.node, f.level, &left, &right);
-        // Push right first so leaves are produced left-to-right.
-        stack.push_back({right, f.level + 1, 2 * f.index + 1});
-        stack.push_back({left, f.level + 1, 2 * f.index});
-    }
+    out->assign((end - begin) * static_cast<std::uint64_t>(params_.out_words),
+                0);
+    EvalRangeDfs(*this, key, begin, end, out->data());
 }
 
 void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
@@ -299,65 +305,66 @@ void Dpf::EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
     }
     if (begin == end) return;
     const int n = params_.log_domain;
-    const int w = params_.out_words;
+    for (const CorrectionWord& cw : key.cw) {
+        if (Lsb(cw.seed) != 0) {
+            EvalRangeDfs(*this, key, begin, end, out);
+            return;
+        }
+    }
 
     // The frontier at level d is the contiguous node index range
-    // [begin >> (n-d), (end-1) >> (n-d)] — the nodes whose leaf spans
-    // intersect [begin, end). Walk it down level by level, expanding the
-    // whole frontier through one batched PRG call, then applying the
-    // correction words per node (cheap scalar xors).
+    // [begin >> (n-d), (end-1) >> (n-d)]: the nodes whose leaf spans
+    // intersect [begin, end). Its children never exceed end - begin + 2.
     const std::size_t cap = static_cast<std::size_t>(end - begin) + 2;
-    for (int side = 0; side < 2; ++side) {
-        if (scratch->seeds[side].size() < cap) {
-            scratch->seeds[side].resize(cap);
-            scratch->ts[side].resize(cap);
-        }
+    for (std::vector<u128>& nodes : scratch->nodes) {
+        if (nodes.size() < cap) nodes.resize(cap);
     }
-    if (scratch->child_left.size() < cap) {
-        scratch->child_left.resize(cap);
-        scratch->child_right.resize(cap);
+    // All ones for party 1: the root's control bit, and the leaf negation.
+    const u128 party_mask = LsbMask(key.party == 1 ? 1 : 0);
+    auto packed = [](const CorrectionWord& cw, bool t) {
+        return cw.seed | static_cast<u128>(t ? 1 : 0);
+    };
+
+    // Level 0: the root's LSB belongs to its seed, and its control bit is
+    // the party, so it expands unpacked.
+    u128* children = scratch->nodes[0].data();
+    prg_.Expand(key.root_seed, &children[0], &children[1]);
+    children[0] ^= party_mask & packed(key.cw[0], key.cw[0].t_left);
+    children[1] ^= party_mask & packed(key.cw[0], key.cw[0].t_right);
+    std::uint64_t parent_lo = 0;  // first node index of the last parents
+    u128* frontier = nullptr;
+    std::size_t count = 0;
+    for (int level = 1;; ++level) {
+        // The frontier [lo, hi] at this level starts 0 or 1 node into the
+        // children [2 * parent_lo, ...) of the last expanded frontier.
+        const int shift = n - level;
+        const std::uint64_t lo = begin >> shift;
+        frontier = children + (lo - 2 * parent_lo);
+        count = static_cast<std::size_t>(((end - 1) >> shift) - lo) + 1;
+        if (level == n) break;
+        children = scratch->nodes[level & 1].data();
+        const CorrectionWord& cw = key.cw[level];
+        prg_.ExpandLevel(frontier, count, packed(cw, cw.t_left),
+                         packed(cw, cw.t_right), children);
+        parent_lo = lo;
     }
 
-    int cur = 0;
-    scratch->seeds[cur][0] = key.root_seed;
-    scratch->ts[cur][0] = key.party == 1 ? 1 : 0;
-    std::uint64_t lo = 0;  // frontier's first node index at this level
-    std::size_t count = 1;
-    for (int level = 0; level < n; ++level) {
-        prg_.ExpandBatch(scratch->seeds[cur].data(), count,
-                         scratch->child_left.data(),
-                         scratch->child_right.data());
-        const int child_shift = n - level - 1;
-        const std::uint64_t next_lo = begin >> child_shift;
-        const std::uint64_t next_hi = (end - 1) >> child_shift;
-        const int next = 1 - cur;
-        const CorrectionWord& cw = key.cw[level];
+    // frontier[0..count) are now the leaves [begin, end).
+    if (params_.out_words == 1) {
+        // Convert is the seed itself: v = seed + (t ? final_cw : 0),
+        // negated for party 1 as (v ^ m) - m.
+        const u128 final_cw = key.final_cw[0];
         for (std::size_t i = 0; i < count; ++i) {
-            const bool parent_t = scratch->ts[cur][i] != 0;
-            const std::uint64_t left_idx = 2 * (lo + i);
-            for (int side = 0; side < 2; ++side) {
-                const std::uint64_t idx = left_idx + side;
-                if (idx < next_lo || idx > next_hi) continue;  // edge prune
-                u128 s = side == 0 ? scratch->child_left[i]
-                                   : scratch->child_right[i];
-                bool t = Lsb(s);
-                s = ClearLsb(s);
-                if (parent_t) {
-                    s ^= cw.seed;
-                    t ^= side == 0 ? cw.t_left : cw.t_right;
-                }
-                scratch->seeds[next][idx - next_lo] = s;
-                scratch->ts[next][idx - next_lo] = t ? 1 : 0;
-            }
+            const u128 s = frontier[i];
+            const u128 v = ClearLsb(s) + (LsbMask(s) & final_cw);
+            out[i] = (v ^ party_mask) - party_mask;
         }
-        cur = next;
-        lo = next_lo;
-        count = static_cast<std::size_t>(next_hi - next_lo) + 1;
+        return;
     }
+    const std::size_t w = static_cast<std::size_t>(params_.out_words);
     for (std::size_t i = 0; i < count; ++i) {
-        Finalize(key,
-                 Node{scratch->seeds[cur][i], scratch->ts[cur][i] != 0},
-                 out + i * static_cast<std::size_t>(w));
+        Finalize(key, Node{ClearLsb(frontier[i]), Lsb(frontier[i]) != 0},
+                 out + i * w);
     }
 }
 

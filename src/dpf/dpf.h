@@ -92,24 +92,35 @@ class Dpf {
                    std::vector<u128>* out) const;
 
     // Reusable frontier buffers for EvalRangeBatched, so a kernel that
-    // walks many tiles pays the allocations once.
+    // walks many tiles pays the allocations once. The walk ping-pongs
+    // between the two arrays; each node is one u128, its corrected seed
+    // with its control bit in the LSB. Each grows to end - begin + 2
+    // nodes.
     struct RangeScratch {
-        std::vector<u128> seeds[2];
-        std::vector<std::uint8_t> ts[2];
-        std::vector<u128> child_left;
-        std::vector<u128> child_right;
+        std::vector<u128> nodes[2];
     };
 
-    // EvalRange by level-order (breadth-first) traversal: the covering node
-    // frontier of [begin, end) at each level — at most end - begin + 1
-    // nodes — is expanded in one Prg::ExpandBatch call, so the AES MMO
-    // PRG runs hardware-pipelined instead of one node at a time. The
-    // per-node correction-word math is exactly ExpandNode's, so leaf values
-    // are bit-identical to EvalRange for every PrfKind. out receives
-    // (end - begin) * out_words words, point-major (not resized — the
-    // caller sizes it, which lets kernels pack several queries' leaves
-    // into one buffer). Peak scratch is O(end - begin) nodes; callers
-    // chunk their ranges (e.g. per storage tile) to bound it.
+    // EvalRange by level-order (breadth-first) traversal. The covering
+    // node frontier of [begin, end) at each level — at most end - begin +
+    // 1 nodes — is stored packed (seed with the control bit in its LSB)
+    // and expanded in one Prg::ExpandLevel call, which applies the level's
+    // correction word as a masked xor (inside the vector block for
+    // ChaCha20) and writes the children interleaved, i.e. already in the
+    // next level's order. The children of frontier [lo, lo + count) are
+    // [2lo, 2lo + 2count); the next frontier starts 0 or 1 node into them,
+    // so edge pruning is a pointer offset, not a per-child check. The root
+    // is expanded on its own: its seed's LSB is part of the seed and its
+    // control bit is the party. With one output word (every PIR query)
+    // the leaves finalize inline without a branch.
+    //
+    // Leaf values are bit-identical to EvalRange for every PrfKind and
+    // every key; a key whose correction seeds are not LSB-clear (Gen never
+    // makes one, but keys arrive off the wire) cannot be packed and takes
+    // the pruned DFS instead. out receives (end - begin) * out_words
+    // words, point-major (not resized — the caller sizes it, which lets
+    // kernels pack several queries' leaves into one buffer). Peak scratch
+    // is O(end - begin) nodes; callers chunk their ranges (e.g. per
+    // storage tile) to bound it.
     void EvalRangeBatched(const DpfKey& key, std::uint64_t begin,
                           std::uint64_t end, u128* out,
                           RangeScratch* scratch) const;

@@ -86,8 +86,9 @@ class ScalarKernel final : public CpuKernel {
     }
 };
 
-// Level-order expansion: each segment's whole node frontier goes through
-// Prg::ExpandBatch, so AES-MMO seeds pipeline through AES-NI.
+// Level-order expansion: each segment's tree walk goes through
+// EvalRangeBatched, one Prg::ExpandLevel per level (ChaCha20 vector lanes,
+// or AES-MMO pipelined through AES-NI).
 class SimdPrgKernel final : public CpuKernel {
   public:
     CpuKernelKind kind() const override { return CpuKernelKind::kSimdPrg; }

@@ -13,12 +13,14 @@
 //                    loop, and the fallback every other kernel is measured
 //                    against.
 //   kSimdPrg         per-query level-order EvalRangeBatched: each tree
-//                    level's whole node frontier goes through one batched
-//                    PRG call, so the fixed-key AES MMO runs hardware-
-//                    pipelined on AES-NI hosts (paper Section 3.2.6's CPU
-//                    baseline, 8 blocks in flight) and ChaCha20 runs 16
-//                    (AVX-512) or 8 (AVX2) seeds in lockstep, one per
-//                    vector lane; GetCpuFeatures() picks the ISA.
+//                    level's whole node frontier goes through one
+//                    Prg::ExpandLevel call that also applies the level's
+//                    correction word as a masked xor, so the fixed-key
+//                    AES MMO runs hardware-pipelined on AES-NI hosts
+//                    (paper Section 3.2.6's CPU baseline, 8 blocks in
+//                    flight) and ChaCha20 runs 16 (AVX-512) or 8 (AVX2)
+//                    parents in lockstep, one per vector lane;
+//                    GetCpuFeatures() picks the ISA.
 //   kMultiqueryTile  the paper's fig06/fig08 memory-bound insight: all
 //                    queries of a batch group sharing one row range are
 //                    evaluated per storage-tile segment, then the tile's

@@ -158,50 +158,95 @@ TEST(Chacha20Test, PrgKnownAnswers) {
     EXPECT_EQ(wide[4], FromHex("e81d11b18149e70acd2556b21adc588d"));
 }
 
-// Each compiled ChaCha20 node-expansion path (the scalar loop, AVX2 x8 and
-// AVX-512 x16), called directly rather than through Prg's dispatch, must
-// equal per-seed Prg::Expand bit for bit: empty, sub-vector, exact-vector,
-// one-past and multi-block batches, through both aligned and unaligned
-// input and output pointers.
+// Reference for one packed DPF level node: the correction-word math of
+// Dpf::ExpandNode on an unpacked (seed, t) node, packed back as seed | t.
+// parent carries its control bit in the LSB; cw_seed has LSB 0.
+void ReferenceLevelNode(const Prg& prg, u128 parent, u128 cw_seed,
+                        bool t_left, bool t_right, u128* left, u128* right) {
+    u128 sl;
+    u128 sr;
+    prg.Expand(ClearLsb(parent), &sl, &sr);
+    bool tl = Lsb(sl) != 0;
+    bool tr = Lsb(sr) != 0;
+    sl = ClearLsb(sl);
+    sr = ClearLsb(sr);
+    if (Lsb(parent) != 0) {
+        sl ^= cw_seed;
+        sr ^= cw_seed;
+        tl ^= t_left;
+        tr ^= t_right;
+    }
+    *left = sl | static_cast<u128>(tl ? 1 : 0);
+    *right = sr | static_cast<u128>(tr ? 1 : 0);
+}
+
+// Each compiled ChaCha20 level path (the scalar loop, AVX2 x8 and AVX-512
+// x16), called directly rather than through Prg's dispatch, must equal
+// per-parent Prg::Expand plus the reference correction bit for bit:
+// empty, sub-vector, exact-vector, one-past and multi-block levels;
+// parents whose control bits are all clear, all set or mixed; zero and
+// random correction seeds under all four (t_left, t_right); through both
+// aligned and unaligned input and output pointers.
 class ChachaIsaTest : public ::testing::TestWithParam<ChachaIsa> {};
 
-TEST_P(ChachaIsaTest, ExpandBatchMatchesPerSeedExpand) {
+TEST_P(ChachaIsaTest, ExpandLevelMatchesPerSeedExpand) {
     if (!ChachaIsaSupported(GetParam())) {
         GTEST_SKIP() << "path not compiled in, not supported by this host, "
                         "or masked by GPUDPF_FORCE_SCALAR";
     }
     const Prg prg(PrfKind::kChacha20);
     Rng rng(23);
+    const u128 random_cw = ClearLsb(rng.Next128());
     for (std::size_t n : {0, 1, 7, 8, 9, 15, 16, 17, 33, 4099}) {
-        std::vector<u128> seeds(n);
-        for (auto& s : seeds) s = rng.Next128();
-        for (std::size_t offset : {0, 1, 4}) {
-            // Byte buffers with one u128 of slack, so the seeds, lefts and
-            // rights can start `offset` bytes past a 16-byte boundary.
-            std::vector<u128> in_buf(n + 1);
-            std::vector<u128> left_buf(n + 1);
-            std::vector<u128> right_buf(n + 1);
-            auto shifted = [offset](std::vector<u128>& buf) {
-                return reinterpret_cast<u128*>(
-                    reinterpret_cast<unsigned char*>(buf.data()) + offset);
-            };
-            u128* in = shifted(in_buf);
-            u128* lefts = shifted(left_buf);
-            u128* rights = shifted(right_buf);
-            if (n > 0) std::memcpy(in, seeds.data(), n * sizeof(u128));
-            ChachaExpandBatch(GetParam(), in, n, lefts, rights);
-            for (std::size_t i = 0; i < n; ++i) {
-                u128 want_l;
-                u128 want_r;
-                prg.Expand(seeds[i], &want_l, &want_r);
-                u128 got_l;
-                u128 got_r;
-                std::memcpy(&got_l, lefts + i, sizeof(u128));
-                std::memcpy(&got_r, rights + i, sizeof(u128));
-                ASSERT_EQ(got_l, want_l)
-                    << "n " << n << " offset " << offset << " seed " << i;
-                ASSERT_EQ(got_r, want_r)
-                    << "n " << n << " offset " << offset << " seed " << i;
+        for (int lsb_mode = 0; lsb_mode < 3; ++lsb_mode) {
+            // 0: every control bit clear, 1: every one set, 2: random.
+            std::vector<u128> parents(n);
+            for (auto& p : parents) {
+                p = rng.Next128();
+                if (lsb_mode == 0) p = ClearLsb(p);
+                if (lsb_mode == 1) p |= 1;
+            }
+            for (const u128 cw_seed : {u128{0}, random_cw}) {
+                for (int t_bits = 0; t_bits < 4; ++t_bits) {
+                    const bool t_left = (t_bits & 1) != 0;
+                    const bool t_right = (t_bits & 2) != 0;
+                    std::vector<u128> want(2 * n);
+                    for (std::size_t i = 0; i < n; ++i) {
+                        ReferenceLevelNode(prg, parents[i], cw_seed, t_left,
+                                           t_right, &want[2 * i],
+                                           &want[2 * i + 1]);
+                    }
+                    for (std::size_t offset : {0, 1, 4}) {
+                        // Buffers with one u128 of slack, so parents and
+                        // children can start `offset` bytes past a
+                        // 16-byte boundary.
+                        std::vector<u128> in_buf(n + 1);
+                        std::vector<u128> out_buf(2 * n + 1);
+                        auto shifted = [offset](std::vector<u128>& buf) {
+                            return reinterpret_cast<u128*>(
+                                reinterpret_cast<unsigned char*>(buf.data()) +
+                                offset);
+                        };
+                        u128* in = shifted(in_buf);
+                        u128* children = shifted(out_buf);
+                        if (n > 0) {
+                            std::memcpy(in, parents.data(), n * sizeof(u128));
+                        }
+                        ChachaExpandLevel(GetParam(), in, n,
+                                          cw_seed | (t_left ? 1 : 0),
+                                          cw_seed | (t_right ? 1 : 0),
+                                          children);
+                        std::vector<u128> got(2 * n);
+                        if (n > 0) {
+                            std::memcpy(got.data(), children,
+                                        2 * n * sizeof(u128));
+                        }
+                        ASSERT_EQ(got, want)
+                            << "n " << n << " lsb_mode " << lsb_mode
+                            << " cw " << (cw_seed != 0) << " t_bits "
+                            << t_bits << " offset " << offset;
+                    }
+                }
             }
         }
     }
@@ -459,23 +504,34 @@ TEST_P(PrgTest, ExpandWideDeterministicAndDistinct) {
     EXPECT_EQ(distinct.size(), 8u);
 }
 
-TEST_P(PrgTest, ExpandBatchMatchesScalarExpand) {
-    // ExpandBatch is the SIMD-batched kernel entry point; whatever path it
-    // takes (AES-NI for kAes128, the scalar loop otherwise) it must equal
-    // per-seed Expand bit for bit, tails included.
+TEST_P(PrgTest, ExpandLevelMatchesScalarExpand) {
+    // ExpandLevel is the DPF walk's only PRG entry point; whatever path it
+    // takes (vector lanes for ChaCha20, AES-NI chunks for kAes128, the
+    // scalar loop otherwise) it must equal per-parent Expand plus the
+    // reference correction bit for bit, tails and chunk boundaries
+    // included.
     Prg prg(GetParam());
     Rng rng(19);
-    for (size_t n : {size_t{1}, size_t{5}, size_t{8}, size_t{37}}) {
-        std::vector<u128> seeds(n);
-        for (auto& s : seeds) s = rng.Next128();
-        std::vector<u128> lefts(n);
-        std::vector<u128> rights(n);
-        prg.ExpandBatch(seeds.data(), n, lefts.data(), rights.data());
-        for (size_t i = 0; i < n; ++i) {
-            u128 l, r;
-            prg.Expand(seeds[i], &l, &r);
-            EXPECT_EQ(lefts[i], l) << "n " << n << " seed " << i;
-            EXPECT_EQ(rights[i], r) << "n " << n << " seed " << i;
+    for (size_t n : {size_t{1}, size_t{5}, size_t{8}, size_t{37},
+                     size_t{64}, size_t{65}, size_t{130}}) {
+        std::vector<u128> parents(n);
+        for (auto& p : parents) p = rng.Next128();
+        const u128 cw_seed = ClearLsb(rng.Next128());
+        for (int t_bits = 0; t_bits < 4; ++t_bits) {
+            const bool t_left = (t_bits & 1) != 0;
+            const bool t_right = (t_bits & 2) != 0;
+            std::vector<u128> children(2 * n);
+            prg.ExpandLevel(parents.data(), n, cw_seed | (t_left ? 1 : 0),
+                            cw_seed | (t_right ? 1 : 0), children.data());
+            for (size_t i = 0; i < n; ++i) {
+                u128 l;
+                u128 r;
+                ReferenceLevelNode(prg, parents[i], cw_seed, t_left, t_right,
+                                   &l, &r);
+                EXPECT_EQ(children[2 * i], l) << "n " << n << " parent " << i;
+                EXPECT_EQ(children[2 * i + 1], r)
+                    << "n " << n << " parent " << i;
+            }
         }
     }
 }

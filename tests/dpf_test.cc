@@ -283,10 +283,10 @@ TEST(DpfNodePrimitivesTest, RootEncodesParty) {
 // --- Level-order (SIMD-batched) range evaluation -----------------------------
 
 TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
-    // The frontier walk feeds the whole level through one Prg::ExpandBatch
-    // (the AES-NI pipeline for kAes128); the correction-word application is
-    // untouched, so the leaves must equal the pruned-DFS EvalRange bit for
-    // bit — every PRF, tree depth, output width, party, and subrange,
+    // The frontier walk feeds the whole level through one Prg::ExpandLevel
+    // (the AES-NI pipeline for kAes128), which applies the correction word
+    // as a masked xor; the leaves must equal the pruned-DFS EvalRange bit
+    // for bit — every PRF, tree depth, output width, party, and subrange,
     // including single-leaf ranges and ranges touching the domain edges.
     for (PrfKind prf :
          {PrfKind::kAes128, PrfKind::kChacha20, PrfKind::kSipHash}) {
@@ -322,8 +322,8 @@ TEST(DpfEvalRangeBatchedTest, MatchesDfsEvalRangeAcrossSeedsAndLevels) {
 }
 
 TEST(DpfEvalRangeBatchedTest, ChachaLaneBlocksMatchDfsEvalRange) {
-    // ChaCha20's ExpandBatch runs 8 (AVX2) or 16 (AVX-512) seeds per lane
-    // block and pads frontiers narrower than a block. Every level of these
+    // ChaCha20's ExpandLevel runs 8 (AVX2) or 16 (AVX-512) parents per
+    // lane block and pads frontiers narrower than a block. Every level of these
     // ranges is such a frontier or straddles a block boundary: widths below,
     // at and just past 8, 16 and their multiples, at both domain edges and
     // at odd offsets, plus the full domain at every depth from 1 to 12.
@@ -356,6 +356,90 @@ TEST(DpfEvalRangeBatchedTest, ChachaLaneBlocksMatchDfsEvalRange) {
                 check(begin, begin + width);
             }
         }
+    }
+}
+
+TEST(DpfEvalRangeBatchedTest, KernelScaleSegmentsMatchDfsEvalRange) {
+    // The CPU kernels walk 2^12..2^14-leaf segments of deep trees. Each
+    // segment starts on, one past and one short of a segment boundary,
+    // or ends at the domain end, and ends on an even or odd leaf, so the
+    // next frontier sits at offset 0 or 1 of the children at every level.
+    // ChaCha20 runs vector lane blocks, AES-128 AES-NI chunks and SipHash
+    // the scalar loop; at depth 16 a frontier spans many of either.
+    const int log_domain = 16;
+    const std::uint64_t seg = std::uint64_t{1} << 14;
+    for (PrfKind prf :
+         {PrfKind::kChacha20, PrfKind::kAes128, PrfKind::kSipHash}) {
+        Rng rng(3000);
+        const Dpf dpf(DpfParams{log_domain, prf, 1});
+        auto [k0, k1] = dpf.GenIndicator(seg + 77, rng);
+        Dpf::RangeScratch scratch;
+        for (std::uint64_t begin : {std::uint64_t{0}, std::uint64_t{1},
+                                    seg - 1, dpf.domain_size() - seg}) {
+            for (std::uint64_t end : {begin + seg, begin + seg - 1}) {
+                for (const DpfKey* key : {&k0, &k1}) {
+                    std::vector<u128> ref;
+                    dpf.EvalRange(*key, begin, end, &ref);
+                    std::vector<u128> got(ref.size(), 0);
+                    dpf.EvalRangeBatched(*key, begin, end, got.data(),
+                                         &scratch);
+                    ASSERT_EQ(got, ref)
+                        << PrfKindName(prf) << " [" << begin << "," << end
+                        << ") party " << key->party;
+                }
+            }
+        }
+    }
+}
+
+TEST(DpfEvalRangeBatchedTest, RootSeedLsbIsPartOfTheSeed) {
+    // The root expands unpacked: its LSB is seed material, not a control
+    // bit (that is the party). Force it both ways on one key and compare
+    // against EvalRange on that same key; the pair no longer reconstructs
+    // the point function, but each key's leaves are still well defined.
+    for (int log_domain : {1, 2, 9, 16}) {
+        for (int out_words : {1, 2}) {
+            Rng rng(4000 + log_domain);
+            const Dpf dpf(DpfParams{log_domain, PrfKind::kChacha20,
+                                    out_words});
+            const std::uint64_t domain = dpf.domain_size();
+            auto [k0, k1] = dpf.GenIndicator(rng.Next64() % domain, rng);
+            Dpf::RangeScratch scratch;
+            for (DpfKey* key : {&k0, &k1}) {
+                for (int lsb : {0, 1}) {
+                    DpfKey forced = *key;
+                    forced.root_seed = ClearLsb(forced.root_seed) |
+                                       static_cast<u128>(lsb);
+                    const std::uint64_t begin = domain > 2 ? 1 : 0;
+                    std::vector<u128> ref;
+                    dpf.EvalRange(forced, begin, domain, &ref);
+                    std::vector<u128> got(ref.size(), 0);
+                    dpf.EvalRangeBatched(forced, begin, domain, got.data(),
+                                         &scratch);
+                    ASSERT_EQ(got, ref)
+                        << "n=" << log_domain << " w=" << out_words
+                        << " party " << forced.party << " root lsb " << lsb;
+                }
+            }
+        }
+    }
+}
+
+TEST(DpfEvalRangeBatchedTest, UnpackableKeyFallsBackToDfs) {
+    // A correction seed with its LSB set never comes out of Gen but can
+    // arrive off the wire; the packed walk cannot hold it, so the range
+    // must still equal EvalRange on that key.
+    Rng rng(6000);
+    const Dpf dpf(DpfParams{10, PrfKind::kChacha20, 1});
+    auto [k0, k1] = dpf.GenIndicator(300, rng);
+    Dpf::RangeScratch scratch;
+    for (DpfKey* key : {&k0, &k1}) {
+        key->cw[4].seed |= 1;
+        std::vector<u128> ref;
+        dpf.EvalRange(*key, 5, 1000, &ref);
+        std::vector<u128> got(ref.size(), 0);
+        dpf.EvalRangeBatched(*key, 5, 1000, got.data(), &scratch);
+        ASSERT_EQ(got, ref) << "party " << key->party;
     }
 }
 
